@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -398,6 +399,28 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, &os.PathError{Op: "read", Path: name, Err: os.ErrNotExist}
 	}
 	return append([]byte(nil), f.data...), nil
+}
+
+// ReadAt implements wal.FS with io.ReaderAt semantics: a read that runs
+// past the end of the file returns the bytes that exist and io.EOF.
+func (m *MemFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.crashed {
+		return 0, ErrCrashed
+	}
+	f, ok := m.files[filepath.Clean(name)]
+	if !ok {
+		return 0, &os.PathError{Op: "read", Path: name, Err: os.ErrNotExist}
+	}
+	if off < 0 {
+		return 0, &os.PathError{Op: "read", Path: name, Err: os.ErrInvalid}
+	}
+	n := copy(p, f.data[min(off, int64(len(f.data))):])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Rename implements wal.FS. The new directory entry is durable only after

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"io"
 	"os"
 	"syscall"
 	"testing"
@@ -129,4 +130,47 @@ func TestReadOnlyEROFS(t *testing.T) {
 
 	m.SetReadOnly(false)
 	writeN(t, f, 1)
+}
+
+// ReadAt follows io.ReaderAt: a read that runs past the end returns the
+// bytes that exist and io.EOF, and a crashed filesystem refuses reads.
+func TestMemFSReadAt(t *testing.T) {
+	m := NewMemFS(1)
+	f, err := m.OpenFile("/d/a", os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		off  int64
+		size int
+		want string
+		eof  bool
+	}{
+		{off: 2, size: 3, want: "234"},
+		{off: 0, size: 10, want: "0123456789"},
+		{off: 7, size: 5, want: "789", eof: true},
+		{off: 10, size: 1, want: "", eof: true},
+		{off: 12, size: 1, want: "", eof: true},
+		{off: 12, size: 0, want: ""},
+	} {
+		p := make([]byte, tc.size)
+		n, err := m.ReadAt("/d/a", p, tc.off)
+		if string(p[:n]) != tc.want || (err == io.EOF) != tc.eof || (err != nil && err != io.EOF) {
+			t.Errorf("ReadAt(off %d, %d bytes) = %q, %v; want %q, eof=%v", tc.off, tc.size, p[:n], err, tc.want, tc.eof)
+		}
+	}
+	if _, err := m.ReadAt("/d/missing", make([]byte, 1), 0); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("ReadAt(missing) err = %v, want ErrNotExist", err)
+	}
+	if _, err := m.ReadAt("/d/a", make([]byte, 1), -1); err == nil {
+		t.Error("ReadAt(negative offset) succeeded")
+	}
+	m.CrashAfterWrites(1)
+	f.Write([]byte("x")) //nolint:errcheck // fires the crash
+	if _, err := m.ReadAt("/d/a", make([]byte, 1), 0); !errors.Is(err, ErrCrashed) {
+		t.Errorf("ReadAt after crash err = %v, want ErrCrashed", err)
+	}
 }

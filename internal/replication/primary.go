@@ -62,12 +62,11 @@ const (
 	HeaderDiverged = "X-BF-Diverged"
 )
 
-// SnapshotContentType is the media type of a binary bootstrap snapshot:
-// the body is a plaintext BFLOWSNB image (see store/binsnap.go), served
+// SnapshotContentType is the media type of a bootstrap snapshot: the
+// body is a plaintext BFLOWSNB image (see store/binsnap.go), served
 // verbatim so the replica can both bulk-restore it and persist it as a
-// local checkpoint without re-encoding. Replicas opt in via the Accept
-// header; the primary answers legacy JSON otherwise, so mixed-version
-// pairs keep working during a rolling upgrade.
+// local checkpoint without re-encoding. It is the only snapshot format;
+// a request whose Accept header does not name it gets 406.
 const SnapshotContentType = "application/x-bflow-snapshot"
 
 const (
@@ -231,43 +230,28 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		filtered, lo, hi = true, uint32(loVal), uint32(hiVal)
 	}
-	if strings.Contains(r.Header.Get("Accept"), SnapshotContentType) {
-		blob, barrier, err := p.durable.CaptureCheckpointBytes()
-		if err != nil {
-			writeError(w, p.node, http.StatusInternalServerError, "capture checkpoint: "+err.Error())
-			return
-		}
-		if filtered {
-			blob, err = p.filter(blob, lo, hi)
-			if err != nil {
-				writeError(w, p.node, http.StatusInternalServerError, "filter checkpoint: "+err.Error())
-				return
-			}
-		}
-		setTermHeaders(w, p.node)
-		w.Header().Set("Content-Type", SnapshotContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-		w.WriteHeader(http.StatusOK)
-		if _, err := w.Write(blob); err != nil {
-			p.logf("replication: stream snapshot (barrier %d): %v", barrier, err)
-		}
+	if !strings.Contains(r.Header.Get("Accept"), SnapshotContentType) {
+		writeError(w, p.node, http.StatusNotAcceptable, "snapshots are served only as Accept: "+SnapshotContentType)
 		return
 	}
-	if filtered {
-		writeError(w, p.node, http.StatusBadRequest, "filtered snapshots require Accept: "+SnapshotContentType)
-		return
-	}
-	// Legacy replica: JSON Snapshot struct.
-	snap, err := p.durable.CaptureCheckpoint()
+	blob, barrier, err := p.durable.CaptureCheckpointBytes()
 	if err != nil {
 		writeError(w, p.node, http.StatusInternalServerError, "capture checkpoint: "+err.Error())
 		return
 	}
+	if filtered {
+		blob, err = p.filter(blob, lo, hi)
+		if err != nil {
+			writeError(w, p.node, http.StatusInternalServerError, "filter checkpoint: "+err.Error())
+			return
+		}
+	}
 	setTermHeaders(w, p.node)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", SnapshotContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.WriteHeader(http.StatusOK)
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		p.logf("replication: stream snapshot: %v", err)
+	if _, err := w.Write(blob); err != nil {
+		p.logf("replication: stream snapshot (barrier %d): %v", barrier, err)
 	}
 }
 
@@ -275,7 +259,8 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // Responses:
 //
 //	200 — body is a batch of frame bytes; headers carry the normalised
-//	      start, the next position, the exact body length and the lag.
+//	      start, the next position, the exact body length and the lag
+//	      (omitted when it cannot be measured).
 //	204 — caught up (after waiting up to ?wait=); Next-Pos repeats from.
 //	410 — the position is gone (truncated below the checkpoint floor, or
 //	      ahead of the primary's log after a failover); re-bootstrap.
@@ -334,20 +319,21 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	lag, lagErr := log.CountFrom(next)
-	if lagErr != nil {
-		lag = 0
-	}
-	lagBytes, lagErr := log.BytesFrom(next)
-	if lagErr != nil {
-		lagBytes = 0
-	}
 	setTermHeaders(w, p.node)
 	w.Header().Set(HeaderPos, start.String())
 	w.Header().Set(HeaderNextPos, next.String())
 	w.Header().Set(HeaderBatchBytes, strconv.Itoa(len(frames)))
-	w.Header().Set(HeaderLag, strconv.FormatInt(lag, 10))
-	w.Header().Set(HeaderLagBytes, strconv.FormatInt(lagBytes, 10))
+	// A lag that cannot be measured (e.g. a corrupt frame past the batch)
+	// is omitted, never reported as zero: the replica then counts itself
+	// behind, so a promote guard cannot mistake it for caught up.
+	if lag, err := log.CountFrom(next); err == nil {
+		w.Header().Set(HeaderLag, strconv.FormatInt(lag, 10))
+	} else {
+		p.logf("replication: lag count from %s: %v", next, err)
+	}
+	if lagBytes, err := log.BytesFrom(next); err == nil {
+		w.Header().Set(HeaderLagBytes, strconv.FormatInt(lagBytes, 10))
+	}
 	if n == 0 {
 		// The replica is caught up: this is the only moment its digest is
 		// directly comparable to ours, so adjudicate the claim it sent.

@@ -2,13 +2,11 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -436,9 +434,8 @@ func (r *Replica) observeResponseTerm(resp *http.Response) {
 // bootstrap wipes the local mirror and rebuilds it from the primary's
 // snapshot endpoint: restore state wholesale, persist the snapshot as a
 // local checkpoint, and position the cursor at the snapshot's WAL epoch
-// barrier. The replica asks for the binary snapshot format (bulk restore,
-// raw bytes persisted verbatim) and falls back to decoding the legacy
-// JSON body when talking to an older primary.
+// barrier. The snapshot is a binary BFLOWSNB image, bulk-restored and
+// persisted verbatim.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
@@ -450,7 +447,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Accept", SnapshotContentType+", application/json")
+	req.Header.Set("Accept", SnapshotContentType)
 	resp, err := r.opts.HTTPClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("replication: fetch snapshot: %w", err)
@@ -464,52 +461,25 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replication: snapshot endpoint: status %d", resp.StatusCode)
 	}
 
-	var barrier uint64
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), SnapshotContentType) {
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("replication: read snapshot body: %w", err)
-		}
-		if err := r.mirror.wipe(); err != nil {
-			return err
-		}
-		meta, err := store.RestoreBytes("primary snapshot", blob, r.tracker, r.registry)
-		if err != nil {
-			return fmt.Errorf("replication: restore snapshot: %w", err)
-		}
-		if meta.WALSeg == 0 {
-			return fmt.Errorf("replication: snapshot carries no WAL barrier")
-		}
-		barrier = meta.WALSeg
-		// Persist the received image verbatim — same bytes, no re-encode.
-		ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
-		if err := store.SaveCheckpointBytes(r.opts.FS, ckpt, blob, r.opts.Key); err != nil {
-			return fmt.Errorf("replication: save local checkpoint: %w", err)
-		}
-	} else {
-		if r.opts.Split != nil {
-			// The filter runs in the primary's binary snapshot path; a
-			// legacy JSON body would silently carry the whole keyspace.
-			return fmt.Errorf("replication: filtered bootstrap requires a binary snapshot; primary answered JSON")
-		}
-		var snap store.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			return fmt.Errorf("replication: decode snapshot: %w", err)
-		}
-		if snap.WALSeg == 0 {
-			return fmt.Errorf("replication: snapshot carries no WAL barrier")
-		}
-		if err := r.mirror.wipe(); err != nil {
-			return err
-		}
-		if err := snap.Restore(r.tracker, r.registry); err != nil {
-			return fmt.Errorf("replication: restore snapshot: %w", err)
-		}
-		barrier = snap.WALSeg
-		ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
-		if err := store.SaveFS(r.opts.FS, ckpt, snap, r.opts.Key); err != nil {
-			return fmt.Errorf("replication: save local checkpoint: %w", err)
-		}
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("replication: read snapshot body: %w", err)
+	}
+	if err := r.mirror.wipe(); err != nil {
+		return err
+	}
+	meta, err := store.RestoreBytes("primary snapshot", blob, r.tracker, r.registry)
+	if err != nil {
+		return fmt.Errorf("replication: restore snapshot: %w", err)
+	}
+	if meta.WALSeg == 0 {
+		return fmt.Errorf("replication: snapshot carries no WAL barrier")
+	}
+	barrier := meta.WALSeg
+	// Persist the received image verbatim — same bytes, no re-encode.
+	ckpt := filepath.Join(r.opts.Dir, store.CheckpointName(barrier))
+	if err := store.SaveCheckpointBytes(r.opts.FS, ckpt, blob, r.opts.Key); err != nil {
+		return fmt.Errorf("replication: save local checkpoint: %w", err)
 	}
 	applier, err := r.newApplier()
 	if err != nil {
@@ -664,11 +634,11 @@ func (r *Replica) applyBatch(pos wal.Pos, resp *http.Response) error {
 	}
 	applier.RestoreAuditTimestamps()
 
-	lag := int64(0)
-	if v := resp.Header.Get(HeaderLag); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lag = n
-		}
+	// A batch without a readable lag header leaves the lag unknown, and
+	// unknown counts as behind: at least one record.
+	lag := int64(1)
+	if n, err := strconv.ParseInt(resp.Header.Get(HeaderLag), 10, 64); err == nil {
+		lag = n
 	}
 	lagBytes := int64(0)
 	if v := resp.Header.Get(HeaderLagBytes); v != "" {

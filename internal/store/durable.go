@@ -209,7 +209,7 @@ var _ policy.Journal = (*Durable)(nil)
 // checkpointName and parseCheckpointName are internal aliases of the
 // exported helpers in applier.go (the hex field is the WAL epoch barrier
 // segment).
-func checkpointName(seg uint64) string            { return CheckpointName(seg) }
+func checkpointName(seg uint64) string               { return CheckpointName(seg) }
 func parseCheckpointName(name string) (uint64, bool) { return ParseCheckpointName(name) }
 
 // OpenDurable recovers the state in opts.Dir into tracker and registry
@@ -570,30 +570,12 @@ func (d *Durable) StateDigest() disclosure.TrackerDigest {
 	return d.tracker.Digest()
 }
 
-// CaptureCheckpoint captures a consistent snapshot behind a fresh WAL
-// epoch barrier without installing it on disk: the replication snapshot
-// endpoint serves it to bootstrapping replicas, which then stream from
-// segment snap.WALSeg onwards. The extra segment rotation it costs is
-// harmless — the next durable Checkpoint simply rotates again.
-func (d *Durable) CaptureCheckpoint() (*Snapshot, error) {
-	d.barrier.Lock()
-	barrier, err := d.log.Rotate()
-	if err != nil {
-		d.barrier.Unlock()
-		return nil, err
-	}
-	snap := Capture(d.tracker, d.registry)
-	d.barrier.Unlock()
-	snap.WALSeg = barrier
-	return &snap, nil
-}
-
-// CaptureCheckpointBytes is CaptureCheckpoint in wire form: it rotates to
-// a fresh WAL epoch barrier and encodes the state behind it straight into
-// a plaintext BFLOWSNB image, without materialising the intermediate
-// Snapshot struct. The checkpointer seals and installs the bytes; the
-// replication snapshot endpoint serves them to bootstrapping replicas
-// verbatim.
+// CaptureCheckpointBytes captures a consistent checkpoint behind a fresh
+// WAL epoch barrier: it rotates the log and encodes the state behind it
+// straight into a plaintext BFLOWSNB image, without materialising the
+// intermediate Snapshot struct. The checkpointer seals and installs the
+// bytes; the replication snapshot endpoint serves them to bootstrapping
+// replicas verbatim, which then stream from segment barrier onwards.
 func (d *Durable) CaptureCheckpointBytes() (blob []byte, barrier uint64, err error) {
 	d.barrier.Lock()
 	barrier, err = d.log.Rotate()

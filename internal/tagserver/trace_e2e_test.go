@@ -118,6 +118,16 @@ func TestTraceE2EChaos(t *testing.T) {
 	}
 	t.Cleanup(replica.Stop)
 	replica.Start()
+	// The observation must reach the replica through the stream (that is
+	// where replica.apply spans come from), not inside its bootstrap
+	// snapshot: let the bootstrap finish before the write.
+	deadline := time.Now().Add(10 * time.Second)
+	for replica.Status().Bootstraps == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never bootstrapped: %+v", replica.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// --- bfproxy in front of the tag API.
 	upstream, err := url.Parse(tagSrv.URL)
@@ -163,7 +173,7 @@ func TestTraceE2EChaos(t *testing.T) {
 	}
 
 	// --- wait for the replica to apply the journalled observation.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		st := replica.Status()
 		if st.Connected && st.AppliedRecords > 0 && st.LagRecords == 0 {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path/filepath"
 )
 
@@ -196,7 +197,9 @@ func positionErr(p Pos, ahead bool) error {
 // the request when it rolls over a sealed segment's end), and the
 // position immediately after them. A caught-up reader gets (nil, 0,
 // end, end, nil). maxBytes <= 0 means 1 MiB; the first record is always
-// included whole even when it alone exceeds maxBytes.
+// included whole even when it alone exceeds maxBytes. Only the served
+// byte range is read from disk, so the cost follows the batch, not the
+// segment size.
 func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, next Pos, err error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
@@ -211,11 +214,7 @@ func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, nex
 		l.mu.Unlock()
 		return nil, 0, from, from, positionErr(p, ahead)
 	}
-	limit := l.sizes[p.Segment]
-	if p.Segment == l.curSeg {
-		limit = l.curSize
-	}
-	dir, maxRecord := l.opts.Dir, l.opts.MaxRecordBytes
+	limit := l.limitLocked(p.Segment)
 	l.mu.Unlock()
 
 	if p.Offset == limit {
@@ -223,58 +222,99 @@ func (l *Log) ReadFrom(from Pos, maxBytes int) (frames []byte, n int, start, nex
 		// that segment is the current one: caught up.
 		return nil, 0, p, p, nil
 	}
-	path := filepath.Join(dir, SegmentName(p.Segment))
-	data, err := l.fs.ReadFile(path)
+	frames, n, err = l.readFrames(p, limit, maxBytes)
 	if err != nil {
-		return nil, 0, p, p, fmt.Errorf("wal: read %s: %w", path, err)
+		return nil, 0, p, p, err
 	}
-	if int64(len(data)) > limit {
-		// The current segment grew after we snapshotted curSize; serve
-		// only the bytes the snapshot covers so callers see a stable
-		// prefix.
-		data = data[:limit]
-	}
-	if int64(len(data)) < limit {
-		return nil, 0, p, p, fmt.Errorf("wal: read %s: %d bytes on disk, expected %d", path, len(data), limit)
-	}
-	span, count, scanErr := scanFrameRange(data, int(p.Offset), maxRecord, maxBytes)
-	if scanErr != nil {
-		return nil, 0, p, p, &CorruptError{Path: path, Offset: p.Offset + int64(span), Reason: scanErr.Error()}
-	}
-	out := append([]byte(nil), data[p.Offset:int(p.Offset)+span]...)
-	return out, count, p, Pos{Segment: p.Segment, Offset: p.Offset + int64(span)}, nil
+	return frames, n, p, Pos{Segment: p.Segment, Offset: p.Offset + int64(len(frames))}, nil
 }
 
-// scanFrameRange walks whole frames in data[off:], stopping once span
-// would exceed maxBytes (but always admitting the first frame). It
-// returns the byte span and record count of the valid run; err is
-// non-nil when a frame inside the range is malformed.
-func scanFrameRange(data []byte, off, maxRecord, maxBytes int) (span, count int, err error) {
-	start := off
-	for off < len(data) {
-		rest := data[off:]
+// limitLocked returns the byte length of live segment seg as of now: the
+// frames in [HeaderSize, limit) are complete. Callers hold l.mu.
+func (l *Log) limitLocked(seg uint64) int64 {
+	if seg == l.curSeg {
+		return l.curSize
+	}
+	return l.sizes[seg]
+}
+
+// readFrames reads whole, CRC-checked frames of the segment at p.Segment
+// from byte p.Offset, bounded by limit (the segment's length when the
+// caller looked: the current segment may have grown since, and those
+// bytes are not served) and by the batch bound maxBytes, which the first
+// frame may exceed. It reads [p.Offset, min(limit, p.Offset+maxBytes))
+// and, when the first frame alone is longer than that, re-reads exactly
+// that frame.
+func (l *Log) readFrames(p Pos, limit int64, maxBytes int) ([]byte, int, error) {
+	path := filepath.Join(l.opts.Dir, SegmentName(p.Segment))
+	// The window always holds the first frame's header, so a frame the
+	// window cuts short can be re-read whole.
+	window := min(limit-p.Offset, int64(max(maxBytes, frameOverhead)))
+	for {
+		buf := make([]byte, window)
+		if got, err := l.fs.ReadAt(path, buf, p.Offset); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil, 0, fmt.Errorf("wal: read %s: short read: %d of %d bytes at offset %d (segment length %d)",
+					path, got, window, p.Offset, limit)
+			}
+			return nil, 0, fmt.Errorf("wal: read %s: %w", path, err)
+		}
+		span, count, err := scanFrameRange(buf, l.opts.MaxRecordBytes, maxBytes, p.Offset+window == limit)
+		if err != nil {
+			return nil, 0, &CorruptError{Path: path, Offset: p.Offset + int64(span), Reason: err.Error()}
+		}
+		if count > 0 {
+			return buf[:span], count, nil
+		}
+		// The window cut the first frame: its header is in buf (a header
+		// cut at limit is corruption, reported above). Widen the window to
+		// the whole frame; a frame longer than the segment fails the
+		// truncation check of the next scan.
+		window = min(limit-p.Offset, frameOverhead+int64(binary.BigEndian.Uint32(buf[4:8])))
+	}
+}
+
+// scanFrameRange walks whole frames at the front of window, the bytes of
+// a segment read from a frame boundary. It stops before the frame that
+// would take the span past maxBytes (the first frame is always
+// admitted). atLimit reports whether the window ends at the end of the
+// segment's valid data: a frame cut there is truncated on disk, which is
+// corruption, while a frame cut by a window that ends earlier is only the
+// end of the batch. It returns the byte span and record count of the
+// valid run; err is non-nil when a frame inside the range is malformed,
+// with span the offset of that frame.
+func scanFrameRange(window []byte, maxRecord, maxBytes int, atLimit bool) (span, count int, err error) {
+	off := 0
+	for off < len(window) {
+		rest := window[off:]
 		if len(rest) < frameOverhead {
-			return off - start, count, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
+			if atLimit && (count == 0 || off+frameOverhead <= maxBytes) {
+				return off, count, fmt.Errorf("truncated frame header (%d bytes)", len(rest))
+			}
+			break
 		}
 		wantCRC := binary.BigEndian.Uint32(rest[0:4])
 		length := binary.BigEndian.Uint32(rest[4:8])
+		total := frameOverhead + int64(length)
+		if count > 0 && int64(off)+total > int64(maxBytes) {
+			break
+		}
 		if int64(length) > int64(maxRecord) {
-			return off - start, count, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
+			return off, count, fmt.Errorf("frame length %d exceeds limit %d", length, maxRecord)
 		}
-		total := frameOverhead + int(length)
-		if len(rest) < total {
-			return off - start, count, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
-		}
-		if count > 0 && off-start+total > maxBytes {
+		if int64(len(rest)) < total {
+			if atLimit {
+				return off, count, fmt.Errorf("truncated frame: have %d of %d bytes", len(rest), total)
+			}
 			break
 		}
 		if crc32.Checksum(rest[4:total], castagnoli) != wantCRC {
-			return off - start, count, fmt.Errorf("frame CRC mismatch")
+			return off, count, fmt.Errorf("frame CRC mismatch")
 		}
-		off += total
+		off += int(total)
 		count++
 	}
-	return off - start, count, nil
+	return off, count, nil
 }
 
 // WaitFrom blocks until the log holds records at or after position from,
@@ -308,22 +348,44 @@ func (l *Log) WaitFrom(ctx context.Context, from Pos) error {
 }
 
 // CountFrom counts the records at or after position from — the primary's
-// measure of a replica's lag. The caught-up fast path costs one mutex
-// acquisition and no I/O.
+// measure of a replica's lag. Whole segments after the one from points
+// into are counted from the per-segment record table; only the remainder
+// of from's own segment is read (and CRC-checked), so the cost is O(lag)
+// bytes. The caught-up fast path costs one mutex acquisition and no I/O.
 func (l *Log) CountFrom(from Pos) (int64, error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return 0, ErrClosed
+	}
+	p, ok, ahead := l.normalizeLocked(from)
+	if !ok {
+		l.mu.Unlock()
+		return 0, positionErr(p, ahead)
+	}
 	var total int64
-	pos := from
-	for {
-		_, n, _, next, err := l.ReadFrom(pos, 1<<20)
+	for _, idx := range l.segs {
+		if idx > p.Segment {
+			total += l.counts[idx]
+		}
+	}
+	if p.Offset == headerSize {
+		total += l.counts[p.Segment]
+		l.mu.Unlock()
+		return total, nil
+	}
+	limit := l.limitLocked(p.Segment)
+	l.mu.Unlock()
+
+	for p.Offset < limit {
+		frames, n, err := l.readFrames(p, limit, 1<<20)
 		if err != nil {
 			return total, err
 		}
-		if n == 0 {
-			return total, nil
-		}
 		total += int64(n)
-		pos = next
+		p.Offset += int64(len(frames))
 	}
+	return total, nil
 }
 
 // BytesFrom returns how many framed record bytes lie at or after
@@ -347,10 +409,7 @@ func (l *Log) BytesFrom(from Pos) (int64, error) {
 		if idx < p.Segment {
 			continue
 		}
-		sz := l.sizes[idx]
-		if idx == l.curSeg {
-			sz = l.curSize
-		}
+		sz := l.limitLocked(idx)
 		start := int64(headerSize)
 		if idx == p.Segment {
 			start = p.Offset

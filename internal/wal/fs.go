@@ -20,6 +20,13 @@ type FS interface {
 	// ReadFile returns the entire contents of name.
 	ReadFile(name string) ([]byte, error)
 
+	// ReadAt reads len(p) bytes of name starting at byte offset off, with
+	// io.ReaderAt semantics: it returns n < len(p) only together with a
+	// non-nil error, and that error is io.EOF when the file ends before p
+	// is full. Cursor reads use it to fetch exactly the byte range they
+	// serve instead of the whole segment.
+	ReadAt(name string, p []byte, off int64) (n int, err error)
+
 	// Rename atomically replaces newname with oldname. Durability of the
 	// directory entry requires a subsequent SyncDir.
 	Rename(oldname, newname string) error
@@ -92,6 +99,16 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// ReadAt implements FS.
+func (OSFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
+}
 
 // Rename implements FS.
 func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }

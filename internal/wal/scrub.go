@@ -138,6 +138,7 @@ func (l *Log) Quarantine(idx uint64) error {
 	}
 	l.segs = kept
 	delete(l.sizes, idx)
+	delete(l.counts, idx)
 	l.quarantined++
 	l.notifyLocked() // wake tailing cursors so they renormalise over the gap
 	return nil

@@ -253,6 +253,7 @@ type Log struct {
 	curSize int64
 	segs    []uint64         // live segment indexes, ascending (includes curSeg)
 	sizes   map[uint64]int64 // live segment sizes in bytes (curSeg tracks curSize)
+	counts  map[uint64]int64 // live segment record counts (kept beside sizes)
 	notify  chan struct{}    // closed+replaced on append: wakes WaitFrom
 	dirty   bool             // bytes written since the last sync
 	closed  bool
@@ -306,6 +307,7 @@ func Open(o Options) (*Log, error) {
 		fs:       opts.FS,
 		fsyncLat: metrics.NewRecorder(),
 		sizes:    make(map[uint64]int64),
+		counts:   make(map[uint64]int64),
 		notify:   make(chan struct{}),
 	}
 
@@ -363,6 +365,7 @@ func Open(o Options) (*Log, error) {
 		} else {
 			l.sizes[idx] = int64(len(data))
 		}
+		l.counts[idx] = int64(len(recs))
 		l.recovered += int64(len(recs))
 	}
 	live := segs[:0]
@@ -553,6 +556,7 @@ func (l *Log) createSegmentLocked(idx uint64) error {
 	l.curSize = headerSize
 	l.segs = append(l.segs, idx)
 	l.sizes[idx] = headerSize
+	l.counts[idx] = 0
 	return nil
 }
 
@@ -579,6 +583,7 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.curSize += int64(len(frame))
 	l.sizes[l.curSeg] = l.curSize
+	l.counts[l.curSeg]++
 	l.records++
 	l.bytes += int64(len(frame))
 	l.dirty = true
@@ -658,6 +663,7 @@ func (l *Log) TruncateBefore(seg uint64) error {
 				continue
 			}
 			delete(l.sizes, idx)
+			delete(l.counts, idx)
 			removed++
 			continue
 		}
