@@ -113,10 +113,13 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# fuzz smoke: ten seconds per recovery parser (Go runs one fuzz target
-# per invocation, hence one command each): the WAL segment reader, the
-# legacy JSON snapshot loader, the BFLOWSNB binary checkpoint decoder,
-# and the index digest codec the anti-entropy comparator trusts.
+# fuzz smoke: ten seconds per target (Go runs one fuzz target per
+# invocation, hence one command each): the recovery parsers — the WAL
+# segment reader, the legacy JSON snapshot loader, the BFLOWSNB binary
+# checkpoint decoder, and the index digest codec the anti-entropy
+# comparator trusts — the ring codec and policy parser/compiler, and the
+# fingerprinting of untrusted page text (normalisation invariants, and
+# the kernel checked against its reference pipeline).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz 'FuzzOpenSegment' -fuzztime $(FUZZTIME) ./internal/wal
@@ -126,6 +129,8 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeRing' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz 'FuzzParsePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
 	$(GO) test -fuzz 'FuzzCompilePolicy' -fuzztime $(FUZZTIME) ./internal/policyfile
+	$(GO) test -fuzz 'FuzzNormalize' -fuzztime $(FUZZTIME) ./internal/normalize
+	$(GO) test -fuzz 'FuzzFingerprint' -fuzztime $(FUZZTIME) ./internal/fingerprint
 
 build:
 	$(GO) build ./...

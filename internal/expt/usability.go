@@ -72,6 +72,9 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 
 	b := browser.New()
 
+	// The intercept plug-in, when installed, decides on a background
+	// worker; the workflow flushes it so each step sees the previous one.
+	var plugin *intercept.Plugin
 	switch system {
 	case "none":
 		// No protection installed.
@@ -110,7 +113,7 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 		if err != nil {
 			return row, err
 		}
-		plugin, err := intercept.New(intercept.Config{Engine: engine, User: "expt"})
+		plugin, err = intercept.New(intercept.Config{Engine: engine, User: "expt"})
 		if err != nil {
 			return row, err
 		}
@@ -122,6 +125,11 @@ func runUsabilitySystem(system, secret, public string, params disclosure.Params)
 	wikiTab, err := b.OpenTab(srv.URL + "/wiki/secret")
 	if err != nil {
 		return row, err
+	}
+	if plugin != nil {
+		// The wiki page must be observed before its text is pasted
+		// elsewhere, as it is for a user who reads before copying.
+		plugin.Flush()
 	}
 	docsTab, err := b.OpenTab(srv.URL + "/docs/notes")
 	if err != nil {

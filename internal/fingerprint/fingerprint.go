@@ -16,7 +16,9 @@ package fingerprint
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Config holds the fingerprinting parameters. The paper's evaluation (§6)
@@ -82,11 +84,16 @@ type Fingerprint struct {
 
 // Compute fingerprints text under cfg. Texts shorter than one n-gram (after
 // normalisation) yield an empty fingerprint — the systematic false-negative
-// source for very short paragraphs that §6.1 reports.
+// source for very short paragraphs that §6.1 reports. The intermediate
+// buffers come from a pooled Scratch, so only the returned fingerprint
+// allocates.
 func Compute(text string, cfg Config) (*Fingerprint, error) {
-	var sc Scratch
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
 	return sc.Compute(text, cfg)
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // sortedDistinct sorts raw ascending and removes duplicates in place,
 // returning the deduplicated prefix. The one sort at construction time
@@ -121,11 +128,17 @@ func winnow(hashes []uint32, window int) []int {
 	if len(hashes) == 0 {
 		return nil
 	}
-	return winnowInto(nil, hashes, window, make([]int, window+1))
+	return winnowInto(nil, hashes, window, make([]int, ringLen(window)))
 }
 
+// ringLen returns the candidate-ring length winnowInto needs for window:
+// the smallest power of two above window, so that the window+1 indices
+// that can be live at once fit and the ring is indexed with a mask
+// instead of a division.
+func ringLen(window int) int { return 1 << bits.Len(uint(window)) }
+
 // winnowInto is the deque core of winnow: it appends the selected indices
-// to dst, using ring (length window+1) as the candidate buffer, and
+// to dst, using ring (length ringLen(window)) as the candidate buffer, and
 // returns the extended dst. Given capacity in both, it allocates nothing —
 // the fixed scratch ring of the zero-allocation observe path.
 func winnowInto(dst []int, hashes []uint32, window int, ring []int) []int {
@@ -135,22 +148,22 @@ func winnowInto(dst []int, hashes []uint32, window int, ring []int) []int {
 	if len(hashes) <= window {
 		return append(dst, minIndex(hashes, 0, len(hashes)))
 	}
-	// Ring buffer of candidate indices; head..tail (exclusive) in push
-	// order, at most window entries live at once.
-	n := len(ring)
+	// Candidate indices live in ring[head&mask .. tail&mask) in push
+	// order; head and tail only grow, and at most window+1 are live.
+	mask := len(ring) - 1
 	head, tail := 0, 0
 	prevSel := -1
 	for i, h := range hashes {
-		for tail > head && hashes[ring[(tail-1)%n]] >= h {
+		for tail > head && hashes[ring[(tail-1)&mask]] >= h {
 			tail--
 		}
-		ring[tail%n] = i
+		ring[tail&mask] = i
 		tail++
-		if ring[head%n] <= i-window {
+		if ring[head&mask] <= i-window {
 			head++
 		}
 		if i >= window-1 {
-			if sel := ring[head%n]; sel != prevSel {
+			if sel := ring[head&mask]; sel != prevSel {
 				dst = append(dst, sel)
 				prevSel = sel
 			}

@@ -6,7 +6,7 @@ import (
 )
 
 // Scratch holds every intermediate buffer of the fingerprinting pipeline —
-// the normalised text, the rolling-hash state, the n-gram hash sequence,
+// the normalised text and its origin offsets, the n-gram hash sequence,
 // the winnowing ring and the selected-hash staging area — so repeated
 // fingerprint computations reuse one fixed working set instead of
 // reallocating it per call. This is what makes the per-keystroke observe
@@ -18,13 +18,37 @@ import (
 // (the disclosure tracker recycles one per observation via a sync.Pool).
 // The zero value is ready to use.
 type Scratch struct {
-	hasher   rollhash.Hasher
 	norm     []byte
+	offsets  []int32
 	hashes   []uint32
 	ring     []int
 	selected []int
 	raw      []uint32
 	fp       Fingerprint
+}
+
+// run runs S1–S4 over text into the scratch buffers, leaving the n-gram
+// hashes in sc.hashes and the winnowed indices into them in sc.selected.
+// With positions it also records sc.offsets, the origin of each normalised
+// byte.
+func (sc *Scratch) run(text string, cfg Config, positions bool) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if positions {
+		sc.norm, sc.offsets = normalize.AppendWithOffsets(sc.norm[:0], sc.offsets[:0], text)
+	} else {
+		sc.norm = normalize.AppendText(sc.norm[:0], text)
+	}
+	// The only AppendNGrams error is a non-positive n, which Validate
+	// has already rejected.
+	sc.hashes, _ = rollhash.AppendNGrams(sc.hashes[:0], sc.norm, cfg.NGram)
+	n := ringLen(cfg.Window)
+	if cap(sc.ring) < n {
+		sc.ring = make([]int, n)
+	}
+	sc.selected = winnowInto(sc.selected[:0], sc.hashes, cfg.Window, sc.ring[:n])
+	return nil
 }
 
 // AppendHashes appends the winnowed fingerprint hashes of text — distinct,
@@ -33,21 +57,9 @@ type Scratch struct {
 // from the scratch and computes no positions. dst must not alias any of
 // sc's internal buffers (pass a caller-owned slice or nil).
 func (sc *Scratch) AppendHashes(dst []uint32, text string, cfg Config) ([]uint32, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := sc.run(text, cfg, false); err != nil {
 		return dst, err
 	}
-	sc.norm = normalize.AppendText(sc.norm[:0], text)
-	if err := sc.hasher.Init(cfg.NGram); err != nil {
-		return dst, err
-	}
-	sc.hashes = sc.hasher.AppendNGrams(sc.hashes[:0], sc.norm)
-	if len(sc.hashes) == 0 {
-		return dst, nil
-	}
-	if cap(sc.ring) < cfg.Window+1 {
-		sc.ring = make([]int, cfg.Window+1)
-	}
-	sc.selected = winnowInto(sc.selected[:0], sc.hashes, cfg.Window, sc.ring[:cfg.Window+1])
 	base := len(dst)
 	for _, idx := range sc.selected {
 		dst = append(dst, sc.hashes[idx])
@@ -82,32 +94,23 @@ func (sc *Scratch) ComputeShared(text string, cfg Config) (*Fingerprint, error) 
 
 // Compute is the scratch-backed form of the package-level Compute,
 // including positions: the result is fully owned by the caller (safe to
-// retain), and only the owned output slices allocate — all intermediate
-// buffers come from the scratch.
+// retain), and only the owned output — the fingerprint, its positions and
+// its hash set — allocates; all intermediate buffers come from the scratch.
 func (sc *Scratch) Compute(text string, cfg Config) (*Fingerprint, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := sc.run(text, cfg, true); err != nil {
 		return nil, err
 	}
-	norm := normalize.Normalize(text)
-	if err := sc.hasher.Init(cfg.NGram); err != nil {
-		return nil, err
-	}
-	sc.hashes = sc.hasher.AppendNGrams(sc.hashes[:0], []byte(norm.Text))
 	fp := &Fingerprint{}
-	if len(sc.hashes) == 0 {
+	if len(sc.selected) == 0 {
 		return fp, nil
 	}
-	if cap(sc.ring) < cfg.Window+1 {
-		sc.ring = make([]int, cfg.Window+1)
-	}
-	sc.selected = winnowInto(sc.selected[:0], sc.hashes, cfg.Window, sc.ring[:cfg.Window+1])
-	fp.positions = make([]Position, 0, len(sc.selected))
-	raw := make([]uint32, 0, len(sc.selected))
-	for _, hashIdx := range sc.selected {
-		h := sc.hashes[hashIdx]
-		start, end := norm.OrigRange(hashIdx, hashIdx+cfg.NGram)
-		fp.positions = append(fp.positions, Position{Hash: h, Start: start, End: end})
-		raw = append(raw, h)
+	fp.positions = make([]Position, len(sc.selected))
+	raw := make([]uint32, len(sc.selected))
+	for k, idx := range sc.selected {
+		h := sc.hashes[idx]
+		start, end := normalize.OrigRange(text, sc.offsets, idx, idx+cfg.NGram)
+		fp.positions[k] = Position{Hash: h, Start: start, End: end}
+		raw[k] = h
 	}
 	fp.sorted = sortedDistinct(raw)
 	return fp, nil

@@ -108,6 +108,29 @@ func TestComputeSharedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestComputeAllocs pins the pooled package-level Compute: at steady state
+// only its owned output allocates — the fingerprint, its positions and its
+// hash set.
+func TestComputeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg := DefaultConfig()
+	text := strings.Repeat("the quick brown fox jumps over the lazy dog. ", 20)
+	if _, err := Compute(text, cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		fp, err := Compute(text, cfg)
+		if err != nil || fp.Empty() {
+			t.Fatal("unexpected compute failure")
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Compute allocates %.1f objects/op at steady state, want <= 3", allocs)
+	}
+}
+
 // Clone must produce an owned fingerprint that survives scratch reuse.
 func TestCloneDetachesFromScratch(t *testing.T) {
 	var sc Scratch

@@ -32,23 +32,25 @@ type Result struct {
 	Offsets []int32
 }
 
+// fold maps each ASCII byte to its normalised form: a–z and 0–9 to
+// themselves, A–Z to lower case, and every other byte to 0 (dropped). It
+// agrees with unicode.IsLetter, unicode.IsDigit and unicode.ToLower on all
+// of ASCII, so the table lookup is the per-byte fast path and only runes at
+// or above utf8.RuneSelf take the unicode path.
+var fold = func() (t [utf8.RuneSelf]byte) {
+	for c := byte('0'); c <= '9'; c++ {
+		t[c] = c
+	}
+	for c := byte('a'); c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = c, c
+	}
+	return t
+}()
+
 // Normalize lower-cases s and drops every rune that is not a letter or a
 // digit, recording the origin of each surviving byte.
 func Normalize(s string) Result {
-	buf := make([]byte, 0, len(s))
-	offsets := make([]int32, 0, len(s))
-	var enc [utf8.UTFMax]byte
-	for i, r := range s {
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-			continue
-		}
-		lr := unicode.ToLower(r)
-		n := utf8.EncodeRune(enc[:], lr)
-		buf = append(buf, enc[:n]...)
-		for j := 0; j < n; j++ {
-			offsets = append(offsets, int32(i))
-		}
-	}
+	buf, offsets := AppendWithOffsets(make([]byte, 0, len(s)), make([]int32, 0, len(s)), s)
 	return Result{Orig: s, Text: string(buf), Offsets: offsets}
 }
 
@@ -58,15 +60,43 @@ func Normalize(s string) Result {
 // hashes but not attribution: with sufficient capacity in buf the call
 // performs no allocations.
 func AppendText(buf []byte, s string) []byte {
-	var enc [utf8.UTFMax]byte
-	for _, r := range s {
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+	buf, _ = appendNormalized(buf, nil, s, false)
+	return buf
+}
+
+// AppendWithOffsets is AppendText that also appends, for every byte it
+// appends to buf, the byte offset in s of the originating rune to offsets
+// — the capacity-reusing form of Normalize.
+func AppendWithOffsets(buf []byte, offsets []int32, s string) ([]byte, []int32) {
+	return appendNormalized(buf, offsets, s, true)
+}
+
+// appendNormalized is the one S1 loop behind AppendText and
+// AppendWithOffsets. Invalid UTF-8 decodes to utf8.RuneError one byte at a
+// time, exactly as ranging over the string does, and is dropped.
+func appendNormalized(buf []byte, offsets []int32, s string, record bool) ([]byte, []int32) {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if f := fold[c]; f != 0 {
+				buf = append(buf, f)
+				if record {
+					offsets = append(offsets, int32(i))
+				}
+			}
+			i++
 			continue
 		}
-		n := utf8.EncodeRune(enc[:], unicode.ToLower(r))
-		buf = append(buf, enc[:n]...)
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			n := len(buf)
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			for ; record && n < len(buf); n++ {
+				offsets = append(offsets, int32(i))
+			}
+		}
+		i += size
 	}
-	return buf
+	return buf, offsets
 }
 
 // OrigRange maps a half-open byte range [start, end) of the normalised text
@@ -74,16 +104,21 @@ func AppendText(buf []byte, s string) []byte {
 // every originating rune. It returns (0, 0) for an empty or out-of-bounds
 // range.
 func (r Result) OrigRange(start, end int) (int, int) {
-	if start < 0 || end > len(r.Offsets) || start >= end {
+	return OrigRange(r.Orig, r.Offsets, start, end)
+}
+
+// OrigRange is Result.OrigRange over an offsets map recorded by
+// AppendWithOffsets from orig.
+func OrigRange(orig string, offsets []int32, start, end int) (int, int) {
+	if start < 0 || end > len(offsets) || start >= end {
 		return 0, 0
 	}
-	origStart := int(r.Offsets[start])
-	last := int(r.Offsets[end-1])
-	_, size := utf8.DecodeRuneInString(r.Orig[last:])
+	last := int(offsets[end-1])
+	_, size := utf8.DecodeRuneInString(orig[last:])
 	if size == 0 {
 		size = 1
 	}
-	return origStart, last + size
+	return int(offsets[start]), last + size
 }
 
 // Equivalent reports whether two strings normalise to the same text, i.e.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unicode/utf8"
 )
 
 func TestNormalizePaperExample(t *testing.T) {
@@ -107,6 +108,24 @@ func TestEquivalent(t *testing.T) {
 	for _, tt := range tests {
 		if got := Equivalent(tt.a, tt.b); got != tt.want {
 			t.Errorf("Equivalent(%q,%q)=%v, want %v", tt.a, tt.b, got, tt.want)
+		}
+	}
+}
+
+// The ASCII fold table must agree with the unicode path on every byte
+// below utf8.RuneSelf, offsets included.
+func TestASCIIFoldMatchesUnicode(t *testing.T) {
+	for c := rune(0); c < utf8.RuneSelf; c++ {
+		want := ""
+		if unicode.IsLetter(c) || unicode.IsDigit(c) {
+			want = string(unicode.ToLower(c))
+		}
+		text, offsets := AppendWithOffsets(nil, nil, "."+string(c))
+		if string(text) != want {
+			t.Errorf("byte %#x normalises to %q, want %q", c, text, want)
+		}
+		if len(offsets) != len(want) || (len(offsets) == 1 && offsets[0] != 1) {
+			t.Errorf("byte %#x: offsets %v, want [1] per kept byte", c, offsets)
 		}
 	}
 }

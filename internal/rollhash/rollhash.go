@@ -7,7 +7,10 @@
 // O(len) regardless of the n-gram length.
 package rollhash
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // Base is the multiplier of the polynomial hash. It is a prime chosen so that
 // consecutive window hashes distribute well across the 32-bit space.
@@ -16,88 +19,10 @@ const Base uint32 = 16777619
 // ErrWindowSize reports an invalid (non-positive) window length.
 var ErrWindowSize = errors.New("rollhash: window length must be positive")
 
-// Hasher computes rolling hashes over a sliding window of n bytes.
-//
-// Feed bytes one at a time with Roll; once n bytes have been written, Roll
-// reports the hash of the last n bytes. The zero value is not usable; create
-// a Hasher with New.
-type Hasher struct {
-	n     int
-	pow   uint32 // Base^(n-1), used to remove the outgoing byte
-	hash  uint32
-	ring  []byte
-	pos   int
-	count int
-}
-
-// New returns a Hasher over windows of n bytes.
-func New(n int) (*Hasher, error) {
-	h := &Hasher{}
-	if err := h.Init(n); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Init (re)configures h for windows of n bytes, clearing any buffered
-// state. The ring buffer is reused when it already has capacity, so a
-// Hasher embedded in a caller's scratch space can switch window lengths —
-// or be reset for a new input — without allocating.
-func (h *Hasher) Init(n int) error {
-	if n <= 0 {
-		return ErrWindowSize
-	}
-	pow := uint32(1)
-	for i := 0; i < n-1; i++ {
-		pow *= Base
-	}
-	h.n = n
-	h.pow = pow
-	if cap(h.ring) < n {
-		h.ring = make([]byte, n)
-	} else {
-		h.ring = h.ring[:n]
-	}
-	h.Reset()
-	return nil
-}
-
-// WindowLen returns the configured window length n.
-func (h *Hasher) WindowLen() int { return h.n }
-
-// Roll feeds one byte into the window. It returns the hash of the most
-// recent n bytes and true once at least n bytes have been written; before
-// that it returns 0 and false.
-func (h *Hasher) Roll(b byte) (uint32, bool) {
-	if h.count >= h.n {
-		out := h.ring[h.pos]
-		h.hash -= uint32(out) * h.pow
-	} else {
-		h.count++
-	}
-	h.hash = h.hash*Base + uint32(b)
-	h.ring[h.pos] = b
-	h.pos++
-	if h.pos == h.n {
-		h.pos = 0
-	}
-	if h.count < h.n {
-		return 0, false
-	}
-	return h.hash, true
-}
-
-// Reset clears the window so the Hasher can be reused on a new input.
-func (h *Hasher) Reset() {
-	h.hash = 0
-	h.pos = 0
-	h.count = 0
-}
-
-// Sum returns the hash of data, which must be exactly one window long for
-// the result to be comparable with Roll outputs of a Hasher with n ==
-// len(data). It is primarily a test oracle: Sum(data) equals the rolling
-// hash produced after writing each byte of data in order.
+// Sum returns the polynomial hash of data: data[0]·Base^(len-1) + … +
+// data[len-1], mod 2^32. It is the hash of one window and the test oracle
+// for AppendNGrams: the hash AppendNGrams emits for data[i:i+n] equals
+// Sum(data[i:i+n]).
 func Sum(data []byte) uint32 {
 	var hash uint32
 	for _, b := range data {
@@ -106,46 +31,30 @@ func Sum(data []byte) uint32 {
 	return hash
 }
 
-// AppendNGrams appends the rolling hashes of every n-gram of data to dst
-// and returns the extended slice, resetting h first. Inputs shorter than
-// one window append nothing. With a warm Hasher and sufficient capacity in
-// dst the call performs no allocations — the S2 building block of the
-// zero-allocation fingerprinting scratch path.
-func (h *Hasher) AppendNGrams(dst []uint32, data []byte) []uint32 {
-	if len(data) < h.n {
-		return dst
-	}
-	h.Reset()
-	for _, b := range data {
-		if v, ok := h.Roll(b); ok {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// AppendNGrams appends the rolling hashes of every n-gram of data to dst.
-// It is the capacity-reusing form of NGrams.
+// AppendNGrams appends the hash of every n-byte window of data to dst, in
+// order, and returns the extended slice. Inputs shorter than one window
+// append nothing. Each step rolls the window forward by one byte in O(1),
+// reading the outgoing byte straight from data; with sufficient capacity in
+// dst the call performs no allocations.
 func AppendNGrams(dst []uint32, data []byte, n int) ([]uint32, error) {
-	var h Hasher
-	if err := h.Init(n); err != nil {
-		return dst, err
-	}
-	return h.AppendNGrams(dst, data), nil
-}
-
-// NGrams returns the rolling hashes of every n-gram of data, in order. It
-// returns nil if data holds fewer than n bytes.
-func NGrams(data []byte, n int) ([]uint32, error) {
 	if n <= 0 {
-		return nil, ErrWindowSize
+		return dst, ErrWindowSize
 	}
 	if len(data) < n {
-		return nil, nil
+		return dst, nil
 	}
-	var h Hasher
-	if err := h.Init(n); err != nil {
-		return nil, err
+	pow := uint32(1) // Base^(n-1), the weight of the outgoing byte
+	for range n - 1 {
+		pow *= Base
 	}
-	return h.AppendNGrams(make([]uint32, 0, len(data)-n+1), data), nil
+	base, m := len(dst), len(data)-n+1
+	dst = slices.Grow(dst, m)[:base+m]
+	out := dst[base:]
+	hash := Sum(data[:n])
+	out[0] = hash
+	for i, b := range data[n:] {
+		hash = (hash-uint32(data[i])*pow)*Base + uint32(b)
+		out[i+1] = hash
+	}
+	return dst, nil
 }

@@ -2,16 +2,19 @@ package rollhash
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestNewRejectsBadWindow(t *testing.T) {
-	for _, n := range []int{0, -1, -100} {
-		if _, err := New(n); err == nil {
-			t.Errorf("New(%d): want error, got nil", n)
-		}
+// ngrams is AppendNGrams onto a nil slice, failing the test on error.
+func ngrams(t *testing.T, data []byte, n int) []uint32 {
+	t.Helper()
+	hashes, err := AppendNGrams(nil, data, n)
+	if err != nil {
+		t.Fatalf("AppendNGrams(n=%d): %v", n, err)
 	}
+	return hashes
 }
 
 func TestRollMatchesSum(t *testing.T) {
@@ -27,73 +30,56 @@ func TestRollMatchesSum(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			h, err := New(tt.n)
-			if err != nil {
-				t.Fatalf("New(%d): %v", tt.n, err)
-			}
 			data := []byte(tt.data)
-			for i, b := range data {
-				got, ok := h.Roll(b)
-				wantOK := i >= tt.n-1
-				if ok != wantOK {
-					t.Fatalf("Roll #%d: ok=%v, want %v", i, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				want := Sum(data[i-tt.n+1 : i+1])
-				if got != want {
-					t.Errorf("Roll #%d: hash=%#x, want %#x", i, got, want)
+			got := ngrams(t, data, tt.n)
+			if want := len(data) - tt.n + 1; len(got) != want {
+				t.Fatalf("%d hashes, want %d", len(got), want)
+			}
+			for i, h := range got {
+				if want := Sum(data[i : i+tt.n]); h != want {
+					t.Errorf("window %d: hash=%#x, want %#x", i, h, want)
 				}
 			}
 		})
 	}
 }
 
+// A window is only hashed once it is full: n-1 bytes emit nothing, n bytes
+// emit exactly one hash.
 func TestRollIncompleteWindow(t *testing.T) {
-	h, err := New(10)
-	if err != nil {
-		t.Fatal(err)
+	data := []byte("aaaaaaaaaa")
+	if got := ngrams(t, data[:9], 10); len(got) != 0 {
+		t.Fatalf("9 bytes, window 10: got %v, want none", got)
 	}
-	for i := 0; i < 9; i++ {
-		if v, ok := h.Roll('a'); ok || v != 0 {
-			t.Fatalf("Roll #%d before window full: got (%d,%v), want (0,false)", i, v, ok)
-		}
-	}
-	if _, ok := h.Roll('a'); !ok {
-		t.Fatal("Roll #10: window full, want ok=true")
+	if got := ngrams(t, data, 10); len(got) != 1 || got[0] != Sum(data) {
+		t.Fatalf("10 bytes, window 10: got %v, want [%#x]", got, Sum(data))
 	}
 }
 
-func TestReset(t *testing.T) {
-	h, err := New(3)
+// AppendNGrams keeps no state between calls: appending to a non-empty dst
+// leaves the prefix untouched and appends exactly what a fresh call
+// returns, and reusing dst's capacity does not reallocate.
+func TestAppendNGramsPreservesPrefix(t *testing.T) {
+	data := []byte("abcdef")
+	fresh := ngrams(t, data, 3)
+	buf := append(make([]uint32, 0, 16), 7, 8)
+	got, err := AppendNGrams(buf, data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := func(s string) (last uint32) {
-		for _, b := range []byte(s) {
-			if v, ok := h.Roll(b); ok {
-				last = v
-			}
-		}
-		return last
+	if &got[0] != &buf[:1][0] {
+		t.Error("AppendNGrams reallocated despite sufficient capacity")
 	}
-	first := feed("abcdef")
-	h.Reset()
-	second := feed("abcdef")
-	if first != second {
-		t.Errorf("hash after Reset differs: %#x vs %#x", first, second)
+	if !slices.Equal(got[:2], []uint32{7, 8}) || !slices.Equal(got[2:], fresh) {
+		t.Errorf("got %v, want [7 8] + %v", got, fresh)
+	}
+	if again := ngrams(t, data, 3); !slices.Equal(again, fresh) {
+		t.Errorf("second call %v differs from first %v", again, fresh)
 	}
 }
 
 func TestNGrams(t *testing.T) {
-	hashes, err := NGrams([]byte("helloworld"), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hashes) != 5 {
-		t.Fatalf("len(hashes)=%d, want 5", len(hashes))
-	}
+	hashes := ngrams(t, []byte("helloworld"), 6)
 	want := []uint32{
 		Sum([]byte("hellow")),
 		Sum([]byte("ellowo")),
@@ -101,26 +87,32 @@ func TestNGrams(t *testing.T) {
 		Sum([]byte("loworl")),
 		Sum([]byte("oworld")),
 	}
-	for i, w := range want {
-		if hashes[i] != w {
-			t.Errorf("hashes[%d]=%#x, want %#x", i, hashes[i], w)
-		}
+	if !slices.Equal(hashes, want) {
+		t.Errorf("hashes=%#x, want %#x", hashes, want)
 	}
 }
 
 func TestNGramsShortInput(t *testing.T) {
-	hashes, err := NGrams([]byte("hi"), 6)
+	dst := []uint32{1}
+	got, err := AppendNGrams(dst, []byte("hi"), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashes != nil {
-		t.Errorf("NGrams on short input: got %v, want nil", hashes)
+	if !slices.Equal(got, dst) {
+		t.Errorf("AppendNGrams on short input: got %v, want %v", got, dst)
 	}
 }
 
 func TestNGramsBadWindow(t *testing.T) {
-	if _, err := NGrams([]byte("hi"), 0); err == nil {
-		t.Error("NGrams(n=0): want error")
+	for _, n := range []int{0, -1, -100} {
+		dst := []uint32{1}
+		got, err := AppendNGrams(dst, []byte("hi"), n)
+		if err != ErrWindowSize {
+			t.Errorf("AppendNGrams(n=%d): err=%v, want ErrWindowSize", n, err)
+		}
+		if !slices.Equal(got, dst) {
+			t.Errorf("AppendNGrams(n=%d) changed dst: %v", n, got)
+		}
 	}
 }
 
@@ -129,11 +121,14 @@ func TestNGramsBadWindow(t *testing.T) {
 func TestQuickRollEquivalence(t *testing.T) {
 	f := func(data []byte, nRaw uint8) bool {
 		n := int(nRaw)%16 + 1
-		if len(data) < n {
-			return true
-		}
-		got, err := NGrams(data, n)
+		got, err := AppendNGrams(nil, data, n)
 		if err != nil {
+			return false
+		}
+		if len(data) < n {
+			return len(got) == 0
+		}
+		if len(got) != len(data)-n+1 {
 			return false
 		}
 		for i := range got {
@@ -159,29 +154,20 @@ func TestQuickShiftInvariance(t *testing.T) {
 		prefix := make([]byte, rng.Intn(32))
 		rng.Read(prefix)
 		data := append(append([]byte{}, prefix...), window...)
-		hashes, err := NGrams(data, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		hashes := ngrams(t, data, n)
 		if got, want := hashes[len(hashes)-1], Sum(window); got != want {
 			t.Fatalf("trial %d: embedded window hash %#x, want %#x", trial, got, want)
 		}
 	}
 }
 
-func BenchmarkRoll(b *testing.B) {
-	h, err := New(15)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkAppendNGrams(b *testing.B) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(data)
+	dst := make([]uint32, 0, len(data))
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Reset()
-		for _, c := range data {
-			h.Roll(c)
-		}
+		dst, _ = AppendNGrams(dst[:0], data, 15)
 	}
 }

@@ -93,6 +93,10 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 	}
 	srv := httptest.NewServer(server)
 	defer srv.Close()
+	// Deferred calls run last-in first-out: unwedge the engine before
+	// srv.Close waits for the wedged handlers, so a failed assertion ends
+	// the test instead of hanging it until the test binary times out.
+	defer wedged.release()
 
 	observe := func(seg string) *http.Response {
 		body, _ := json.Marshal(ObserveRequest{
@@ -107,19 +111,29 @@ func TestControlPlaneLiveUnderSaturation(t *testing.T) {
 		return resp
 	}
 
-	// One observe wedges the worker; four more fill the queue. Distinct
-	// segments prevent coalescing from folding them together.
+	// One observe wedges the worker; once the worker holds it, four more
+	// fill the queue. Sending all five at once races the worker's dequeue:
+	// the fifth can arrive while the first is still queued, and is shed.
+	// Distinct segments prevent coalescing from folding them together.
 	responses := make(chan *http.Response, 5)
-	for i := 0; i < 5; i++ {
-		go func(i int) { responses <- observe(fmt.Sprintf("doc/%d#p0", i)) }(i)
+	send := func(i int) {
+		go func() { responses <- observe(fmt.Sprintf("doc/%d#p0", i)) }()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for pipeline.Stats().Interactive.Depth < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: %+v", pipeline.Stats())
+	waitStats := func(what string, done func(admission.Stats) bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !done(pipeline.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, pipeline.Stats())
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	send(0)
+	waitStats("worker never took the first observe", func(s admission.Stats) bool { return s.Interactive.Executed >= 1 })
+	for i := 1; i < 5; i++ {
+		send(i)
+	}
+	waitStats("queue never saturated", func(s admission.Stats) bool { return s.Interactive.Depth >= 4 })
 
 	// Overflow arrival: shed fast with 429 + Retry-After.
 	start := time.Now()
