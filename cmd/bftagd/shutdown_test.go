@@ -7,21 +7,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// freeAddr reserves an ephemeral port and releases it for the daemon.
+// handedOut holds every address freeAddr has returned in this process.
+var handedOut sync.Map
+
+// freeAddr reserves an ephemeral port and releases it for the daemon. The
+// kernel may hand a just-released port out again, so a caller that
+// allocates several addresses before starting their daemons (the
+// partitioned cluster does) could get one port twice: the second daemon
+// then fails to bind and the first answers for both. An address is
+// therefore never returned twice.
 func freeAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		if _, dup := handedOut.LoadOrStore(addr, true); !dup {
+			return addr
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
 }
 
 // waitHealthy polls /healthz until the daemon answers.

@@ -55,11 +55,18 @@ func (e *CodecError) Error() string {
 // extended slice. The DB must be quiescent (no concurrent mutations):
 // checkpoint callers hold the store's epoch barrier, which guarantees it.
 func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
-	// Pass A: collect the referenced segment universe — DBpar entries,
-	// head postings (string IDs) and run postings (interned refs).
+	// Pass A: collect the referenced segment universe — DBpar entries and
+	// the interned refs of head and run postings.
 	ids := db.segtab.snapshot()
 	refUsed := make([]bool, len(ids))
 	universe := make(map[segment.ID]struct{})
+	useRef := func(r uint32) {
+		if int(r) >= len(refUsed) {
+			ids = db.segtab.snapshot()
+			refUsed = append(refUsed, make([]bool, len(ids)-len(refUsed))...)
+		}
+		refUsed[r] = true
+	}
 
 	type parRec struct {
 		seg       segment.ID
@@ -84,14 +91,15 @@ func (db *DB) AppendSnapshot(buf []byte) ([]byte, error) {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
-		for _, b := range sh.head {
-			for _, p := range b.postings {
-				universe[p.Seg] = struct{}{}
+		for h := range sh.head {
+			var one [1]headPosting
+			for _, p := range sh.headView(h, &one) {
+				useRef(p.ref)
 			}
 		}
 		for _, r := range sh.run.segs {
 			if r != tombstoneRef {
-				refUsed[r] = true
+				useRef(r)
 			}
 		}
 		sh.mu.RUnlock()

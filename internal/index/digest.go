@@ -151,9 +151,10 @@ func (db *DB) RecomputeDigests() {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
 		var d uint64
-		for h, b := range sh.head {
-			for _, p := range b.postings {
-				d ^= postingCode(h, segDigestKey(string(p.Seg)), p.Seq)
+		for h := range sh.head {
+			var one [1]headPosting
+			for _, p := range sh.headView(h, &one) {
+				d ^= postingCode(h, segDigestKey(string(view.id(p.ref))), p.seq())
 			}
 		}
 		for g := range sh.run.hashes {

@@ -61,9 +61,10 @@ func (db *DB) Export() ExportData {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
-		for h, b := range sh.head {
-			for _, p := range b.postings {
-				data.Postings = append(data.Postings, PostingRecord{Hash: h, Seg: p.Seg, Seq: p.Seq})
+		for h := range sh.head {
+			var one [1]headPosting
+			for _, p := range sh.headView(h, &one) {
+				data.Postings = append(data.Postings, PostingRecord{Hash: h, Seg: view.id(p.ref), Seq: p.seq()})
 			}
 		}
 		for g := range sh.run.hashes {
@@ -116,21 +117,21 @@ func (db *DB) Import(data ExportData) error {
 
 	// Postings must be replayed in seq order to restore first-seen
 	// semantics; Export writes them sorted, but do not trust external data.
-	// Runs are empty after reset, so plain head-bucket inserts suffice;
-	// compaction happens lazily once mutation resumes (or via Compact).
+	// Runs are empty after reset, so plain head inserts suffice; compaction
+	// happens lazily once mutation resumes (or via Compact).
 	postings := make([]PostingRecord, len(data.Postings))
 	copy(postings, data.Postings)
 	sort.Slice(postings, func(i, j int) bool { return postings[i].Seq < postings[j].Seq })
 	for _, p := range postings {
+		ref := db.segtab.ref(p.Seg)
 		sh := &db.hashShards[db.hashShardIdx(p.Hash)]
 		sh.mu.Lock()
-		b := sh.head[p.Hash]
-		if b == nil {
-			b = &bucket{}
-			sh.head[p.Hash] = b
-			db.distinct.Add(1)
-		}
-		if b.insert(p.Seg, p.Seq) {
+		_, known := sh.head[p.Hash]
+		if !sh.headHas(p.Hash, ref) {
+			if !known {
+				db.distinct.Add(1)
+			}
+			sh.headInsert(p.Hash, newHeadPosting(ref, p.Seq))
 			db.postings.Add(1)
 			db.headN.Add(1)
 			sh.headPostings++
@@ -165,7 +166,7 @@ func (db *DB) reset() {
 	for si := range db.hashShards {
 		sh := &db.hashShards[si]
 		sh.mu.Lock()
-		sh.head = make(map[uint32]*bucket)
+		sh.resetHead()
 		sh.run = run{}
 		sh.big = nil
 		sh.headPostings = 0

@@ -30,18 +30,21 @@
 // # Storage layout
 //
 // Each hash shard is a small LSM tree: recent postings live in a mutable
-// head (map of hash → bucket, exactly the pre-compaction layout), and the
-// bulk lives in one immutable compacted run of columnar arrays with
-// interned segment refs (see run.go). Inline merges migrate the head into
-// the run once it outgrows the merge policy, keeping steady-state memory
-// near the compacted figure while the hot insert path still writes to a
-// plain map. Verdict and oldest-holder semantics are identical in every
-// merge state; only the physical layout changes.
+// head, a pointer-free map of hash → (segment ref, seq) for the common
+// single-holder hash with a side map of spill buckets for hashes several
+// head segments hold, and the bulk lives in one immutable compacted run of
+// columnar arrays (see run.go). Head and run postings alike name segments
+// by refs into one per-DB intern table; Update interns its segment once,
+// before any shard lock. Inline merges migrate the head into the run once
+// it outgrows the merge policy, keeping steady-state memory near the
+// compacted figure while the hot insert path still writes to a plain map.
+// Verdict and oldest-holder semantics are identical in every merge state;
+// only the physical layout changes.
 //
 // Lock ordering: a segment-stripe lock may be held while hash-shard locks
 // are acquired (one at a time), never the reverse, and never two locks of
 // the same kind at once. The segment-ref table is a leaf lock acquirable
-// under any shard lock. Per-segment mutations (Update, RemoveSegment) hold
+// under any stripe or shard lock. Per-segment mutations (Update, RemoveSegment) hold
 // the segment stripe for their whole critical section so that a segment's
 // DBpar entry and its DBhash postings cannot interleave with a concurrent
 // removal of the same segment.
@@ -83,8 +86,8 @@ type Stats struct {
 	Tombstones   int
 
 	// ApproxBytes is a rough in-memory footprint estimate derived from the
-	// counts (map buckets, posting structs, run arrays, fingerprint sets).
-	// It tracks growth trends, not exact heap use.
+	// counts (head map slots, run arrays, fingerprint sets, per-segment
+	// entries). It tracks heap use to within about a third, not exactly.
 	ApproxBytes int64
 }
 
@@ -97,92 +100,102 @@ const DefaultShards = 64
 // maxShards bounds the configurable stripe count.
 const maxShards = 256
 
-// memberMapThreshold is the posting count past which a head bucket switches
-// from a linear membership scan to a map. Most hashes have a handful of
-// holders, where a scan over a small slice beats a map allocation; hot
-// hashes shared by many segments get the O(1) set the moment the scan
-// would start to hurt.
+// memberMapThreshold is the posting count past which a spilled head
+// bucket switches from a linear membership scan to a map. Most hashes have
+// a handful of holders, where a scan over a small slice beats a map
+// allocation; hot hashes shared by many segments get the O(1) set the
+// moment the scan would start to hurt.
 const memberMapThreshold = 8
 
-// bucket is the mutable-head state of one hash: its postings ordered by
-// ascending Seq (so postings[0] is always the oldest, i.e. authoritative,
-// holder — an O(1) read maintained on insert and remove instead of
-// scanned), plus an optional membership set for large buckets.
-type bucket struct {
-	postings []Posting
-	members  map[segment.ID]struct{} // nil until memberMapThreshold exceeded
+// spillRef in a head slot marks a hash with more than one head holder:
+// its postings live in the shard's spill map instead.
+const spillRef = tombstoneRef - 1
+
+// headPosting is one pointer-free head posting: the holder's interned
+// segment ref and its first-seen seq. The seq is split into two 32-bit
+// halves so the struct stays 4-byte aligned and a head map slot (uint32
+// key + value) packs into 16 bytes; the GC never scans head maps.
+type headPosting struct {
+	ref          uint32
+	seqLo, seqHi uint32
 }
 
-// has reports whether seg already holds this hash.
-func (b *bucket) has(seg segment.ID) bool {
+func newHeadPosting(ref uint32, seq uint64) headPosting {
+	return headPosting{ref: ref, seqLo: uint32(seq), seqHi: uint32(seq >> 32)}
+}
+
+func (p headPosting) seq() uint64 { return uint64(p.seqHi)<<32 | uint64(p.seqLo) }
+
+// spillBucket holds the head postings of a hash with several head
+// holders, ordered by ascending seq (so postings[0] is always the oldest,
+// i.e. authoritative, holder), plus an optional membership set for large
+// buckets.
+type spillBucket struct {
+	postings []headPosting
+	members  map[uint32]struct{} // nil until memberMapThreshold exceeded
+}
+
+// has reports whether ref already holds this hash.
+func (b *spillBucket) has(ref uint32) bool {
 	if b.members != nil {
-		_, ok := b.members[seg]
+		_, ok := b.members[ref]
 		return ok
 	}
 	for _, p := range b.postings {
-		if p.Seg == seg {
+		if p.ref == ref {
 			return true
 		}
 	}
 	return false
 }
 
-// insert records (seg, seq) unless seg is already present. It keeps
-// postings sorted by Seq: seqs are assigned before stripe locks are
-// acquired, so a slightly older observation can arrive after a newer one;
-// insertion from the back restores first-seen order (almost always a pure
-// append). It reports whether a posting was added.
-func (b *bucket) insert(seg segment.ID, seq uint64) bool {
-	if b.has(seg) {
-		return false
-	}
+// insert records p, which must not be present yet. It keeps postings
+// sorted by seq: seqs are assigned before stripe locks are acquired, so a
+// slightly older observation can arrive after a newer one; insertion from
+// the back restores first-seen order (almost always a pure append).
+func (b *spillBucket) insert(p headPosting) {
 	i := len(b.postings)
-	b.postings = append(b.postings, Posting{})
-	for i > 0 && b.postings[i-1].Seq > seq {
+	b.postings = append(b.postings, headPosting{})
+	for i > 0 && b.postings[i-1].seq() > p.seq() {
 		b.postings[i] = b.postings[i-1]
 		i--
 	}
-	b.postings[i] = Posting{Seg: seg, Seq: seq}
+	b.postings[i] = p
 	if b.members != nil {
-		b.members[seg] = struct{}{}
+		b.members[p.ref] = struct{}{}
 	} else if len(b.postings) > memberMapThreshold {
-		b.members = make(map[segment.ID]struct{}, len(b.postings))
-		for _, p := range b.postings {
-			b.members[p.Seg] = struct{}{}
+		b.members = make(map[uint32]struct{}, len(b.postings))
+		for _, q := range b.postings {
+			b.members[q.ref] = struct{}{}
 		}
 	}
-	return true
 }
 
-// remove deletes seg's posting, preserving Seq order. It returns the
-// removed posting's Seq (the digest maintenance needs it) and whether one
+// remove deletes ref's posting, preserving seq order. It returns the
+// removed posting's seq (the digest maintenance needs it) and whether one
 // was removed.
-func (b *bucket) remove(seg segment.ID) (uint64, bool) {
+func (b *spillBucket) remove(ref uint32) (uint64, bool) {
 	for i, p := range b.postings {
-		if p.Seg == seg {
+		if p.ref == ref {
 			b.postings = append(b.postings[:i], b.postings[i+1:]...)
 			if b.members != nil {
-				delete(b.members, seg)
+				delete(b.members, ref)
 			}
-			return p.Seq, true
+			return p.seq(), true
 		}
 	}
 	return 0, false
 }
 
-// oldest returns the bucket's oldest holder in O(1).
-func (b *bucket) oldest() (segment.ID, bool) {
-	if len(b.postings) == 0 {
-		return "", false
-	}
-	return b.postings[0].Seg, true
-}
-
 // hashShard is one DBhash stripe: a mutable head plus one compacted run.
 type hashShard struct {
-	mu   sync.RWMutex
-	head map[uint32]*bucket
-	run  run
+	mu sync.RWMutex
+
+	// head maps each hash with head postings to its only holder inline,
+	// or to spillRef when several segments hold it in the head.
+	head  map[uint32]headPosting
+	spill map[uint32]*spillBucket
+	run   run
 
 	// big holds shard-level membership sets for run groups with many live
 	// postings (see bigGroupMin), keyed by hash → set of live segment refs.
@@ -194,6 +207,83 @@ type hashShard struct {
 	// digest is the XOR-fold of postingCode over the shard's live
 	// postings, maintained incrementally (see digest.go).
 	digest uint64
+}
+
+// headView returns h's head postings in ascending seq order. one receives
+// an inline posting, so the single-holder case allocates nothing.
+func (sh *hashShard) headView(h uint32, one *[1]headPosting) []headPosting {
+	p, ok := sh.head[h]
+	switch {
+	case !ok:
+		return nil
+	case p.ref == spillRef:
+		return sh.spill[h].postings
+	default:
+		one[0] = p
+		return one[:]
+	}
+}
+
+// headHas reports whether ref holds h in the head.
+func (sh *hashShard) headHas(h, ref uint32) bool {
+	p, ok := sh.head[h]
+	if !ok {
+		return false
+	}
+	if p.ref == spillRef {
+		return sh.spill[h].has(ref)
+	}
+	return p.ref == ref
+}
+
+// headInsert adds p to h's head postings; p.ref must not hold h yet. A
+// second holder moves the hash from its inline slot to a spill bucket.
+func (sh *hashShard) headInsert(h uint32, p headPosting) {
+	cur, ok := sh.head[h]
+	switch {
+	case !ok:
+		sh.head[h] = p
+	case cur.ref == spillRef:
+		sh.spill[h].insert(p)
+	default:
+		b := &spillBucket{postings: make([]headPosting, 1, 2)}
+		b.postings[0] = cur
+		b.insert(p)
+		if sh.spill == nil {
+			sh.spill = make(map[uint32]*spillBucket)
+		}
+		sh.spill[h] = b
+		sh.head[h] = headPosting{ref: spillRef}
+	}
+}
+
+// headRemove deletes ref's head posting of h. It returns the removed
+// posting's seq, whether one was removed and whether h left the head. A
+// spill bucket shrinking to one holder moves back inline.
+func (sh *hashShard) headRemove(h, ref uint32) (seq uint64, removed, gone bool) {
+	p, ok := sh.head[h]
+	switch {
+	case !ok:
+		return 0, false, false
+	case p.ref == spillRef:
+		b := sh.spill[h]
+		if seq, removed = b.remove(ref); removed && len(b.postings) == 1 {
+			sh.head[h] = b.postings[0]
+			delete(sh.spill, h)
+		}
+		return seq, removed, false
+	case p.ref == ref:
+		delete(sh.head, h)
+		return p.seq(), true, true
+	default:
+		return 0, false, false
+	}
+}
+
+// resetHead empties the mutable head.
+func (sh *hashShard) resetHead() {
+	sh.head = make(map[uint32]headPosting)
+	sh.spill = nil
 }
 
 // segShard is one DBpar stripe.
@@ -218,7 +308,10 @@ type parEntry struct {
 	// for hashes the segment has never posted — zero for edits that
 	// oscillate within previously seen content. nil means unknown (fresh
 	// entry, restored snapshot, or reset by ExpireBefore), which makes
-	// the next Update take the full insert path and rebuild it.
+	// the next Update take the full insert path and rebuild it. While the
+	// union equals a fingerprint's hash set it aliases that fingerprint's
+	// immutable storage instead of copying it; a union that differs is a
+	// fresh slice, so nothing ever writes through the alias.
 	posted []uint32
 
 	// code is this entry's current parCode contribution to the stripe
@@ -291,7 +384,7 @@ func NewWithShards(defaultThreshold float64, n int) *DB {
 	}
 	db.hashShift = 32 - bits
 	for i := range db.hashShards {
-		db.hashShards[i].head = make(map[uint32]*bucket)
+		db.hashShards[i].resetHead()
 	}
 	for i := range db.segShards {
 		db.segShards[i].par = make(map[segment.ID]*parEntry)
@@ -399,18 +492,20 @@ func (db *DB) Update(seg segment.ID, fp *fingerprint.Fingerprint) uint64 {
 	entry.fp = fp
 	entry.updated = now
 	hs := fp.Hashes()
+	segKey := segDigestKey(string(seg))
 	// Insert postings while still holding the segment stripe so that a
 	// concurrent RemoveSegment(seg) cannot interleave between the DBpar
-	// write and the DBhash writes (which would leak postings).
-	switch {
-	case entry.posted == nil:
-		db.insertPostings(seg, hs, now)
-		entry.posted = append([]uint32(nil), hs...)
-	case countMissing(hs, entry.posted) > 0:
-		entry.posted = db.insertNewPostings(seg, hs, entry.posted, now)
+	// write and the DBhash writes (which would leak postings). The segment
+	// is interned once here, before any shard lock, so every posting is
+	// recorded as a ref.
+	if entry.posted == nil {
+		db.insertPostings(db.segtab.ref(seg), segKey, hs, now)
+		entry.posted = hs
+	} else if k := countMissing(hs, entry.posted); k > 0 {
+		entry.posted = db.insertNewPostings(db.segtab.ref(seg), segKey, hs, entry.posted, k, now)
 	}
 	ss.digest ^= entry.code
-	entry.code = parCode(segDigestKey(string(seg)), entry)
+	entry.code = parCode(segKey, entry)
 	ss.digest ^= entry.code
 	ss.mu.Unlock()
 	return now
@@ -432,49 +527,43 @@ func countMissing(hs, posted []uint32) int {
 	return k
 }
 
-// shardInsertLocked records the (h, seg, seq) posting unless it already
-// exists in the shard's head or run. ref/hasRef is seg's interned ref
-// resolved after the shard lock was acquired (run entries can only mention
-// refs interned before that point). Caller holds sh.mu for writing.
-func (db *DB) shardInsertLocked(sh *hashShard, h uint32, seg segment.ID, ref uint32, hasRef bool, seq uint64) {
-	b := sh.head[h]
-	if b != nil && b.has(seg) {
+// shardInsertLocked records the (h, ref, seq) posting unless it already
+// exists in the shard's head or run. segKey is the segment's digest key.
+// Caller holds sh.mu for writing.
+func (db *DB) shardInsertLocked(sh *hashShard, h, ref uint32, segKey, seq uint64) {
+	_, inHead := sh.head[h]
+	if inHead && sh.headHas(h, ref) {
 		return
 	}
 	runLive := false
 	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
 		var inRun bool
-		inRun, runLive = sh.runHasSeg(h, g, ref, hasRef)
+		inRun, runLive = sh.runHasSeg(h, g, ref)
 		if inRun {
 			return
 		}
 	}
-	if b == nil {
-		b = &bucket{}
-		sh.head[h] = b
-		if !runLive {
-			db.distinct.Add(1)
-		}
+	if !inHead && !runLive {
+		db.distinct.Add(1)
 	}
-	if b.insert(seg, seq) {
-		db.postings.Add(1)
-		db.headN.Add(1)
-		sh.headPostings++
-		sh.digest ^= postingCode(h, segDigestKey(string(seg)), seq)
-	}
+	sh.headInsert(h, newHeadPosting(ref, seq))
+	db.postings.Add(1)
+	db.headN.Add(1)
+	sh.headPostings++
+	sh.digest ^= postingCode(h, segKey, seq)
 }
 
-// insertPostings records first-seen postings for hs (ascending) at time
-// now, locking each hash shard exactly once per contiguous run.
-func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
+// insertPostings records first-seen postings of the segment interned as
+// ref for hs (ascending) at time now, locking each hash shard exactly once
+// per contiguous run.
+func (db *DB) insertPostings(ref uint32, segKey uint64, hs []uint32, now uint64) {
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.Lock()
-		ref, hasRef := db.segtab.refOf(seg)
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			db.shardInsertLocked(sh, hs[j], seg, ref, hasRef, now)
+			db.shardInsertLocked(sh, hs[j], ref, segKey, now)
 		}
 		db.maybeCompactLocked(sh)
 		sh.mu.Unlock()
@@ -482,32 +571,38 @@ func (db *DB) insertPostings(seg segment.ID, hs []uint32, now uint64) {
 	}
 }
 
-// insertNewPostings records postings for the hashes of hs (ascending) that
-// are absent from posted (ascending) and returns the merged union. Hashes
+// insertNewPostings records postings for the k hashes of hs (ascending)
+// that are absent from posted (ascending) and returns the union. Hashes
 // present in posted already have first-seen postings, which are never
 // refreshed, so skipping them is behaviour-identical while avoiding their
 // bucket probes and shard locks. New hashes arrive in ascending order, so
-// each hash shard is still locked at most once per contiguous run.
-func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64) []uint32 {
-	union := make([]uint32, 0, len(posted)+len(hs))
+// each hash shard is still locked at most once per contiguous run. When
+// hs covers posted the union is hs itself and no slice is built.
+func (db *DB) insertNewPostings(ref uint32, segKey uint64, hs, posted []uint32, k int, now uint64) []uint32 {
+	var union []uint32
+	build := len(posted)+k != len(hs)
+	if build {
+		union = make([]uint32, 0, len(posted)+k)
+	}
 	var (
-		sh     *hashShard
-		cur    = -1
-		j      = 0
-		ref    uint32
-		hasRef bool
+		sh  *hashShard
+		cur = -1
+		j   = 0
 	)
 	for _, h := range hs {
 		for j < len(posted) && posted[j] < h {
-			union = append(union, posted[j])
+			if build {
+				union = append(union, posted[j])
+			}
 			j++
 		}
-		if j < len(posted) && posted[j] == h {
+		if build {
 			union = append(union, h)
+		}
+		if j < len(posted) && posted[j] == h {
 			j++
 			continue // already posted by an earlier update
 		}
-		union = append(union, h)
 		if si := db.hashShardIdx(h); si != cur {
 			if sh != nil {
 				db.maybeCompactLocked(sh)
@@ -515,14 +610,16 @@ func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64)
 			}
 			sh = &db.hashShards[si]
 			sh.mu.Lock()
-			ref, hasRef = db.segtab.refOf(seg)
 			cur = si
 		}
-		db.shardInsertLocked(sh, h, seg, ref, hasRef, now)
+		db.shardInsertLocked(sh, h, ref, segKey, now)
 	}
 	if sh != nil {
 		db.maybeCompactLocked(sh)
 		sh.mu.Unlock()
+	}
+	if !build {
+		return hs
 	}
 	return append(union, posted[j:]...)
 }
@@ -530,36 +627,36 @@ func (db *DB) insertNewPostings(seg segment.ID, hs, posted []uint32, now uint64)
 // removePostings drops seg's postings for hs (ascending): head postings are
 // deleted in place, run postings are tombstoned for the next merge.
 func (db *DB) removePostings(seg segment.ID, hs []uint32) {
+	ref, ok := db.segtab.refOf(seg)
+	if !ok {
+		return // never posted: every posting carries an interned ref
+	}
+	segKey := segDigestKey(string(seg))
 	for i := 0; i < len(hs); {
 		si := db.hashShardIdx(hs[i])
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.Lock()
-		ref, hasRef := db.segtab.refOf(seg)
-		segKey := segDigestKey(string(seg))
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
 			h := hs[j]
 			g := sh.run.find(h, db.shardBitsOf())
-			if b := sh.head[h]; b != nil {
-				if seq, ok := b.remove(seg); ok {
-					db.postings.Add(-1)
-					db.headN.Add(-1)
-					sh.headPostings--
-					sh.digest ^= postingCode(h, segKey, seq)
-					if len(b.postings) == 0 {
-						delete(sh.head, h)
-						runLive := false
-						if g >= 0 {
-							_, _, runLive = sh.run.firstLive(g)
-						}
-						if !runLive {
-							db.distinct.Add(-1)
-						}
+			if seq, removed, gone := sh.headRemove(h, ref); removed {
+				db.postings.Add(-1)
+				db.headN.Add(-1)
+				sh.headPostings--
+				sh.digest ^= postingCode(h, segKey, seq)
+				if gone {
+					runLive := false
+					if g >= 0 {
+						_, _, runLive = sh.run.firstLive(g)
 					}
-					continue
+					if !runLive {
+						db.distinct.Add(-1)
+					}
 				}
+				continue
 			}
-			if g < 0 || !hasRef {
+			if g < 0 {
 				continue
 			}
 			seq, killed, anyLive := sh.tombstone(h, g, ref)
@@ -688,8 +785,8 @@ func (db *DB) AppendOldestRefs(hs []uint32, out []OldestRef) []OldestRef {
 		j := i
 		sh.mu.RLock()
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if seg, seq, ok := db.oldestRefLocked(sh, hs[j], &view); ok {
-				out = append(out, OldestRef{Idx: j, Seg: seg, Seq: seq})
+			if ref, seq, ok := db.oldestRefLocked(sh, hs[j]); ok {
+				out = append(out, OldestRef{Idx: j, Seg: view.id(ref), Seq: seq})
 			}
 		}
 		sh.mu.RUnlock()
@@ -730,30 +827,10 @@ func (db *DB) AppendHolders(h uint32, out []segment.ID) []segment.ID {
 	view := idsView{tab: &db.segtab}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	b := sh.head[h]
-	g := sh.run.find(h, db.shardBitsOf())
-	var s, e int
-	if g >= 0 {
-		s, e = sh.run.bounds(g)
-	}
-	bi := 0
-	for i := s; i < e || (b != nil && bi < len(b.postings)); {
-		takeRun := false
-		if i < e {
-			if sh.run.segs[i] == tombstoneRef {
-				i++
-				continue
-			}
-			takeRun = b == nil || bi >= len(b.postings) || sh.run.seqs[i] <= b.postings[bi].Seq
-		}
-		if takeRun {
-			out = append(out, view.id(sh.run.segs[i]))
-			i++
-		} else {
-			out = append(out, b.postings[bi].Seg)
-			bi++
-		}
-	}
+	var one [1]headPosting
+	sh.run.mergeGroup(sh.run.find(h, db.shardBitsOf()), sh.headView(h, &one), func(ref uint32, _ uint64) {
+		out = append(out, view.id(ref))
+	})
 	return out
 }
 
@@ -769,6 +846,10 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 	if !ok || fp.Empty() {
 		return 0
 	}
+	ref, ok := db.segtab.refOf(seg)
+	if !ok {
+		return 0 // never posted, so it holds no hash
+	}
 	hs := fp.Hashes()
 	n := 0
 	for i := 0; i < len(hs); {
@@ -776,9 +857,8 @@ func (db *DB) AuthoritativeCount(seg segment.ID) int {
 		sh := &db.hashShards[si]
 		j := i
 		sh.mu.RLock()
-		ref, hasRef := db.segtab.refOf(seg)
 		for ; j < len(hs) && db.hashShardIdx(hs[j]) == si; j++ {
-			if db.oldestIsLocked(sh, hs[j], seg, ref, hasRef) {
+			if db.oldestIs(sh, hs[j], ref) {
 				n++
 			}
 		}
@@ -801,12 +881,14 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 		return 0, 0
 	}
 	srcLen = fp.Len()
+	ref, posted := db.segtab.refOf(src)
+	if !posted {
+		return 0, srcLen // never posted, so it is authoritative for nothing
+	}
 	a, b := fp.Hashes(), target.Hashes()
 	var (
 		sh       *hashShard
 		curShard = -1
-		ref      uint32
-		hasRef   bool
 	)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -823,10 +905,9 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 				}
 				sh = &db.hashShards[si]
 				sh.mu.RLock()
-				ref, hasRef = db.segtab.refOf(src)
 				curShard = si
 			}
-			if db.oldestIsLocked(sh, h, src, ref, hasRef) {
+			if db.oldestIs(sh, h, ref) {
 				overlap++
 			}
 			i++
@@ -837,6 +918,13 @@ func (db *DB) AuthoritativeOverlap(src segment.ID, target *fingerprint.Fingerpri
 		sh.mu.RUnlock()
 	}
 	return overlap, srcLen
+}
+
+// oldestIs reports whether the segment interned as ref is the
+// authoritative holder of h. Caller holds sh.mu at least for reading.
+func (db *DB) oldestIs(sh *hashShard, h, ref uint32) bool {
+	r, _, ok := db.oldestRefLocked(sh, h)
+	return ok && r == ref
 }
 
 // RemoveSegment deletes seg's fingerprint and all its postings. Subsequent
@@ -893,26 +981,40 @@ func (db *DB) ExpireBefore(seq uint64) int {
 				shardRemoved++
 			}
 		}
-		// Head pass: filter each bucket in place.
-		for h, b := range sh.head {
+		// Head pass: drop expired postings; the merge below folds the
+		// survivors into the run.
+		expire := func(h uint32, p headPosting) {
+			shardRemoved++
+			sh.headPostings--
+			db.headN.Add(-1)
+			sh.digest ^= postingCode(h, segDigestKey(string(view.id(p.ref))), p.seq())
+		}
+		for h, p := range sh.head {
+			if p.ref != spillRef {
+				if p.seq() < seq {
+					expire(h, p)
+					delete(sh.head, h)
+				}
+				continue
+			}
+			b := sh.spill[h]
 			kept := b.postings[:0]
-			for _, p := range b.postings {
-				if p.Seq >= seq {
-					kept = append(kept, p)
+			for _, q := range b.postings {
+				if q.seq() >= seq {
+					kept = append(kept, q)
 				} else {
-					shardRemoved++
-					sh.headPostings--
-					db.headN.Add(-1)
-					sh.digest ^= postingCode(h, segDigestKey(string(p.Seg)), p.Seq)
-					if b.members != nil {
-						delete(b.members, p.Seg)
-					}
+					expire(h, q)
 				}
 			}
+			if len(kept) == len(b.postings) {
+				continue
+			}
+			// Something expired, so the merge below runs and drops the
+			// bucket; only its postings need to be right until then.
+			b.postings = kept
 			if len(kept) == 0 {
 				delete(sh.head, h)
-			} else {
-				b.postings = kept
+				delete(sh.spill, h)
 			}
 		}
 		if shardRemoved > 0 || sh.dead > 0 {
@@ -981,16 +1083,20 @@ func (db *DB) Stats() Stats {
 		HeadPostings:   int(db.headN.Load()),
 		Tombstones:     int(db.deadN.Load()),
 	}
-	// Rough per-item costs. Head postings still pay the map-of-buckets
-	// price (map entry share + slice header + posting struct ≈ 88 B);
-	// compacted postings pay the columnar price (4 B interned ref + 8 B
-	// seq + hash/offset array share ≈ 14 B). DBpar fingerprints store each
-	// hash twice (sorted set + posted union ≈ 16 B), segments ≈ 200 B of
-	// entry, table and ID overhead.
+	// Rough per-item costs of the layout, fitted to measured heap growth
+	// (see TestApproxBytesTracksHeap). A head posting is one 16-byte slot
+	// of a pointer-free swiss-table map (uint32 key + ref and split seq)
+	// plus its control byte, at the ~60% average fill of a doubling table
+	// ≈ 28 B; a compacted posting pays 4 B ref + 8 B seq plus, at about
+	// one posting per hash, 8 B of hash and group offset and the skip
+	// table ≈ 22 B. DBpar keeps each fingerprint hash once (4 B; the
+	// posted union aliases it until an edit drops a hash). A segment
+	// costs ≈ 280 B: its DBpar map slot, entry and fingerprint header,
+	// its ref-table slot and map entry, its ID bytes and size-class slack.
 	compacted := s.Postings - s.HeadPostings
-	s.ApproxBytes = int64(s.HeadPostings)*88 +
-		int64(compacted+s.Tombstones)*14 +
-		int64(db.parHashes.Load())*16 +
-		int64(s.Segments)*200
+	s.ApproxBytes = int64(s.HeadPostings)*28 +
+		int64(compacted+s.Tombstones)*22 +
+		int64(db.parHashes.Load())*4 +
+		int64(s.Segments)*280
 	return s
 }

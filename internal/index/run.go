@@ -1,8 +1,8 @@
 package index
 
-// Compacted posting runs. Each hash shard pairs a small mutable head (the
-// map-of-buckets layout that served the index up to 1M-hash corpora) with
-// one immutable compacted run: four parallel columnar arrays holding every
+// Compacted posting runs. Each hash shard pairs a small mutable head (a
+// pointer-free map of hash → ref and seq, see hashShard) with one
+// immutable compacted run: four parallel columnar arrays holding every
 // merged posting of the shard, ordered by (hash, seq).
 //
 //	hashes[i]            i-th distinct hash, strictly ascending
@@ -10,9 +10,9 @@ package index
 //	segs[k]              interned segment ref of posting k (tombstoneRef if dead)
 //	seqs[k]              first-seen logical time of posting k, ascending per group
 //
-// Segment IDs are interned once per DB into a ref table at merge time, so a
-// posting costs 4+8 bytes instead of a string header + map overhead — this
-// is the roaring-style compaction of ROADMAP item 2: dense per-hash holder
+// Segment IDs are interned once per DB into a ref table when a segment is
+// first posted, so head and run postings alike carry a 4-byte ref instead
+// of a string header; a run posting costs 4+8 bytes. Dense per-hash holder
 // sets become flat sorted ref arrays that share one string table.
 //
 // Lookup cost is one small-map probe (head) plus a radix-skip bounded
@@ -68,6 +68,9 @@ func (t *segTable) ref(seg segment.ID) uint32 {
 	defer t.mu.Unlock()
 	if r, ok := t.refs[seg]; ok {
 		return r
+	}
+	if len(t.ids) >= int(spillRef) {
+		panic("index: segment ref table full")
 	}
 	if t.refs == nil {
 		t.refs = make(map[segment.ID]uint32)
@@ -194,20 +197,13 @@ func (r *run) buildSkip(shardBits uint) {
 // bit count used by the radix tables.
 func (db *DB) shardBitsOf() uint { return 32 - db.hashShift }
 
-// runHasSeg reports whether the run group g holds a live posting for ref
-// (hasRef=false short-circuits: an un-interned segment cannot be in a run),
+// runHasSeg reports whether the run group g holds a live posting for ref,
 // and whether the group has any live posting at all. The shard's big set
 // for h, when present, answers both in O(1).
-func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32, hasRef bool) (inRun, anyLive bool) {
+func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32) (inRun, anyLive bool) {
 	if set, ok := sh.big[h]; ok {
-		if len(set) == 0 {
-			return false, false
-		}
-		if !hasRef {
-			return false, true
-		}
 		_, in := set[ref]
-		return in, true
+		return in, len(set) > 0
 	}
 	s, e := sh.run.bounds(g)
 	for i := s; i < e; i++ {
@@ -216,7 +212,7 @@ func (sh *hashShard) runHasSeg(h uint32, g int, ref uint32, hasRef bool) (inRun,
 			continue
 		}
 		anyLive = true
-		if hasRef && r == ref {
+		if r == ref {
 			return true, true
 		}
 	}
@@ -250,9 +246,9 @@ func (sh *hashShard) tombstone(h uint32, g int, ref uint32) (seq uint64, killed,
 	return seq, killed, false
 }
 
-// liveHashCountLocked counts hashes with at least one live posting (head
-// buckets are never empty, so every head key is live; run groups count only
-// when live and not shadowed by a head bucket for the same hash).
+// liveHashCountLocked counts hashes with at least one live posting (every
+// head key holds at least one posting; run groups count only when live and
+// not shadowed by head postings for the same hash).
 func (sh *hashShard) liveHashCountLocked() int {
 	n := len(sh.head)
 	for g := range sh.run.hashes {
@@ -319,8 +315,9 @@ func (db *DB) SetCompactThreshold(n int) {
 }
 
 // compactShardLocked rebuilds sh.run as the merge of the current run
-// (minus tombstones) and every head bucket, interning head segment IDs
-// into the DB's ref table. Caller holds sh.mu for writing.
+// (minus tombstones) and every head posting. Head postings already carry
+// interned refs, so the merge never touches the ref table. Caller holds
+// sh.mu for writing.
 //
 // The merge preserves every live (hash, seg, seq) triple exactly and keeps
 // groups seq-ascending, so verdict and oldest-holder semantics are
@@ -341,37 +338,17 @@ func (db *DB) compactShardLocked(sh *hashShard) {
 		segs:   make([]uint32, 0, livePostings),
 		seqs:   make([]uint64, 0, livePostings),
 	}
-	var big map[uint32]map[uint32]struct{}
-
-	emitGroup := func(h uint32, g int, b *bucket) {
+	var (
+		big map[uint32]map[uint32]struct{}
+		one [1]headPosting
+	)
+	emit := func(ref uint32, seq uint64) {
+		nw.segs = append(nw.segs, ref)
+		nw.seqs = append(nw.seqs, seq)
+	}
+	emitGroup := func(h uint32, g int, hp []headPosting) {
 		before := len(nw.segs)
-		var s, e int
-		if g >= 0 {
-			s, e = old.bounds(g)
-		}
-		bi := 0
-		for i := s; i < e || (b != nil && bi < len(b.postings)); {
-			takeRun := false
-			if i < e {
-				if old.segs[i] == tombstoneRef {
-					i++
-					continue
-				}
-				// Stable on equal seqs: run entries precede head entries,
-				// matching the order an uncompacted bucket would hold.
-				takeRun = b == nil || bi >= len(b.postings) || old.seqs[i] <= b.postings[bi].Seq
-			}
-			if takeRun {
-				nw.segs = append(nw.segs, old.segs[i])
-				nw.seqs = append(nw.seqs, old.seqs[i])
-				i++
-			} else {
-				p := b.postings[bi]
-				nw.segs = append(nw.segs, db.segtab.ref(p.Seg))
-				nw.seqs = append(nw.seqs, p.Seq)
-				bi++
-			}
-		}
+		old.mergeGroup(g, hp, emit)
 		n := len(nw.segs) - before
 		if n == 0 {
 			return // fully tombstoned group: drop the hash
@@ -397,10 +374,10 @@ func (db *DB) compactShardLocked(sh *hashShard) {
 			emitGroup(old.hashes[gi], gi, nil)
 			gi++
 		case gi >= len(old.hashes) || headKeys[hi] < old.hashes[gi]:
-			emitGroup(headKeys[hi], -1, sh.head[headKeys[hi]])
+			emitGroup(headKeys[hi], -1, sh.headView(headKeys[hi], &one))
 			hi++
 		default:
-			emitGroup(old.hashes[gi], gi, sh.head[headKeys[hi]])
+			emitGroup(old.hashes[gi], gi, sh.headView(headKeys[hi], &one))
 			gi++
 			hi++
 		}
@@ -409,107 +386,72 @@ func (db *DB) compactShardLocked(sh *hashShard) {
 	nw.buildSkip(db.shardBitsOf())
 	sh.run = nw
 	sh.big = big
-	sh.head = make(map[uint32]*bucket)
+	sh.resetHead()
 	db.headN.Add(int64(-sh.headPostings))
 	db.deadN.Add(int64(-sh.dead))
 	sh.headPostings = 0
 	sh.dead = 0
 }
 
-// appendMergedLocked appends h's live postings in seq order (run group and
-// head bucket merged) to out. Caller holds sh.mu at least for reading.
-func (db *DB) appendMergedLocked(sh *hashShard, h uint32, view *idsView, out []Posting) []Posting {
-	b := sh.head[h]
-	g := sh.run.find(h, db.shardBitsOf())
+// mergeGroup calls fn for every live posting of run group g (-1 for none)
+// and every head posting of hp, in ascending seq order. On equal seqs run
+// entries come first, matching the order an uncompacted head would hold.
+func (r *run) mergeGroup(g int, hp []headPosting, fn func(ref uint32, seq uint64)) {
 	var s, e int
 	if g >= 0 {
-		s, e = sh.run.bounds(g)
+		s, e = r.bounds(g)
 	}
 	bi := 0
-	for i := s; i < e || (b != nil && bi < len(b.postings)); {
-		takeRun := false
-		if i < e {
-			if sh.run.segs[i] == tombstoneRef {
-				i++
-				continue
-			}
-			takeRun = b == nil || bi >= len(b.postings) || sh.run.seqs[i] <= b.postings[bi].Seq
+	for i := s; i < e || bi < len(hp); {
+		if i < e && r.segs[i] == tombstoneRef {
+			i++
+			continue
 		}
-		if takeRun {
-			out = append(out, Posting{Seg: view.id(sh.run.segs[i]), Seq: sh.run.seqs[i]})
+		if i < e && (bi >= len(hp) || r.seqs[i] <= hp[bi].seq()) {
+			fn(r.segs[i], r.seqs[i])
 			i++
 		} else {
-			out = append(out, b.postings[bi])
+			fn(hp[bi].ref, hp[bi].seq())
 			bi++
 		}
 	}
+}
+
+// appendMergedLocked appends h's live postings in seq order (run group and
+// head postings merged) to out. Caller holds sh.mu at least for reading.
+func (db *DB) appendMergedLocked(sh *hashShard, h uint32, view *idsView, out []Posting) []Posting {
+	var one [1]headPosting
+	sh.run.mergeGroup(sh.run.find(h, db.shardBitsOf()), sh.headView(h, &one), func(ref uint32, seq uint64) {
+		out = append(out, Posting{Seg: view.id(ref), Seq: seq})
+	})
 	return out
 }
 
-// oldestLocked resolves the authoritative (oldest live) holder of h,
-// comparing the head bucket's front posting with the run group's first
-// live entry. Caller holds sh.mu at least for reading.
+// oldestRefLocked resolves the authoritative (oldest live) holder of h,
+// comparing the head's oldest posting with the run group's first live
+// entry, and returns its ref and first-seen seq. Caller holds sh.mu at
+// least for reading.
+func (db *DB) oldestRefLocked(sh *hashShard, h uint32) (ref uint32, seq uint64, ok bool) {
+	var one [1]headPosting
+	hp := sh.headView(h, &one)
+	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
+		if rref, rseq, ok := sh.run.firstLive(g); ok {
+			if len(hp) == 0 || rseq <= hp[0].seq() {
+				return rref, rseq, true
+			}
+		}
+	}
+	if len(hp) == 0 {
+		return 0, 0, false
+	}
+	return hp[0].ref, hp[0].seq(), true
+}
+
+// oldestLocked is oldestRefLocked resolved to the holder's segment ID.
 func (db *DB) oldestLocked(sh *hashShard, h uint32, view *idsView) (segment.ID, bool) {
-	var (
-		headSeg segment.ID
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeg, headSeq, haveH = b.postings[0].Seg, b.postings[0].Seq, true
+	ref, _, ok := db.oldestRefLocked(sh, h)
+	if !ok {
+		return "", false
 	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if ref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return view.id(ref), true
-			}
-		}
-	}
-	return headSeg, haveH
-}
-
-// oldestRefLocked is oldestLocked extended with the winning posting's
-// sequence number, for callers that compare authority across databases
-// (the cross-partition merge of the routing tier).
-func (db *DB) oldestRefLocked(sh *hashShard, h uint32, view *idsView) (segment.ID, uint64, bool) {
-	var (
-		headSeg segment.ID
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeg, headSeq, haveH = b.postings[0].Seg, b.postings[0].Seq, true
-	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if ref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return view.id(ref), seq, true
-			}
-		}
-	}
-	return headSeg, headSeq, haveH
-}
-
-// oldestIsLocked reports whether seg (with interned ref, if any) is the
-// authoritative holder of h — the allocation-free comparison used by
-// AuthoritativeCount/Overlap, which never needs the ID string of the
-// actual oldest holder.
-func (db *DB) oldestIsLocked(sh *hashShard, h uint32, seg segment.ID, ref uint32, hasRef bool) bool {
-	var (
-		headIs  bool
-		headSeq uint64
-		haveH   bool
-	)
-	if b := sh.head[h]; b != nil && len(b.postings) > 0 {
-		headSeq, haveH = b.postings[0].Seq, true
-		headIs = b.postings[0].Seg == seg
-	}
-	if g := sh.run.find(h, db.shardBitsOf()); g >= 0 {
-		if rref, seq, ok := sh.run.firstLive(g); ok {
-			if !haveH || seq <= headSeq {
-				return hasRef && rref == ref
-			}
-		}
-	}
-	return haveH && headIs
+	return view.id(ref), true
 }

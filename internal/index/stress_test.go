@@ -5,9 +5,10 @@ package index
 // overlapping and disjoint segments while expiry and removal run; at
 // quiescence the structural invariants must hold:
 //
-//   - per bucket, postings are in strictly ascending Seq order with at
-//     most one posting per segment — so the authoritative holder
-//     (postings[0]) is always the oldest live poster;
+//   - per hash, postings are in ascending Seq order with at most one
+//     posting per segment — so the authoritative holder is always the
+//     oldest live poster; a single head holder sits inline, several spill
+//     to a bucket;
 //   - the O(1) Stats counters equal a full recount;
 //   - every surviving DBpar entry's latest fingerprint has a posting (or
 //     an older holder) for each of its hashes.
@@ -100,20 +101,31 @@ func checkInvariants(t *testing.T, db *DB) {
 		sh := &db.hashShards[si]
 		sh.mu.RLock()
 		shardHead := 0
-		for h, b := range sh.head {
-			if len(b.postings) == 0 {
-				t.Errorf("hash %#x: empty head bucket not deleted", h)
+		for h, p := range sh.head {
+			if p.ref != spillRef {
+				shardHead++
+				continue
+			}
+			b := sh.spill[h]
+			if b == nil || len(b.postings) < 2 {
+				t.Errorf("hash %#x: spill marker without a bucket of two or more holders", h)
+				continue
 			}
 			shardHead += len(b.postings)
 			if b.members != nil {
 				if len(b.members) != len(b.postings) {
 					t.Errorf("hash %#x: member set size %d != postings %d", h, len(b.members), len(b.postings))
 				}
-				for _, p := range b.postings {
-					if _, ok := b.members[p.Seg]; !ok {
-						t.Errorf("hash %#x: posting %s missing from member set", h, p.Seg)
+				for _, q := range b.postings {
+					if _, ok := b.members[q.ref]; !ok {
+						t.Errorf("hash %#x: posting ref %d missing from member set", h, q.ref)
 					}
 				}
+			}
+		}
+		for h := range sh.spill {
+			if p, ok := sh.head[h]; !ok || p.ref != spillRef {
+				t.Errorf("hash %#x: spill bucket without a spill marker in the head", h)
 			}
 		}
 		if shardHead != sh.headPostings {

@@ -20,12 +20,15 @@ func FuzzNormalize(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		r := Normalize(input)
-		if len(r.Offsets) != len(r.Text) {
-			t.Fatalf("offsets/text length mismatch: %d vs %d", len(r.Offsets), len(r.Text))
+		norm, offsets := withOffsets(input)
+		if len(offsets) != len(norm) {
+			t.Fatalf("offsets/text length mismatch: %d vs %d", len(offsets), len(norm))
+		}
+		if plain := text(input); plain != norm {
+			t.Fatalf("AppendText %q != AppendWithOffsets %q", plain, norm)
 		}
 		prev := int32(-1)
-		for i, off := range r.Offsets {
+		for i, off := range offsets {
 			if int(off) >= len(input) || off < 0 {
 				t.Fatalf("offset %d out of range at %d", off, i)
 			}
@@ -35,11 +38,11 @@ func FuzzNormalize(f *testing.F) {
 			prev = off
 		}
 		// Idempotence.
-		if twice := Normalize(r.Text).Text; twice != r.Text {
-			t.Errorf("not idempotent: %q -> %q", r.Text, twice)
+		if twice := text(norm); twice != norm {
+			t.Errorf("not idempotent: %q -> %q", norm, twice)
 		}
 		// Output alphabet: letters and digits only.
-		for _, c := range r.Text {
+		for _, c := range norm {
 			if !unicode.IsLetter(c) && !unicode.IsDigit(c) {
 				t.Fatalf("non-letter %q survived", c)
 			}

@@ -16,22 +16,6 @@ import (
 	"unicode/utf8"
 )
 
-// Result is a normalised text together with a mapping from each normalised
-// byte back to the byte offset of the originating rune in the source text.
-type Result struct {
-	// Orig is the original input string.
-	Orig string
-
-	// Text is the normalised text: lower-case letters and digits only.
-	Text string
-
-	// Offsets has one entry per byte of Text; Offsets[i] is the byte offset
-	// in the original string of the rune that produced Text[i]. int32
-	// keeps the map compact on the fingerprinting hot path; segments are
-	// paragraphs and pages, far below 2 GiB.
-	Offsets []int32
-}
-
 // fold maps each ASCII byte to its normalised form: a–z and 0–9 to
 // themselves, A–Z to lower case, and every other byte to 0 (dropped). It
 // agrees with unicode.IsLetter, unicode.IsDigit and unicode.ToLower on all
@@ -47,13 +31,6 @@ var fold = func() (t [utf8.RuneSelf]byte) {
 	return t
 }()
 
-// Normalize lower-cases s and drops every rune that is not a letter or a
-// digit, recording the origin of each surviving byte.
-func Normalize(s string) Result {
-	buf, offsets := AppendWithOffsets(make([]byte, 0, len(s)), make([]int32, 0, len(s)), s)
-	return Result{Orig: s, Text: string(buf), Offsets: offsets}
-}
-
 // AppendText appends the normalised form of s (lower-case letters and
 // digits only) to buf and returns the extended slice, without recording
 // origin offsets. It is the capacity-reusing path for callers that need
@@ -65,8 +42,9 @@ func AppendText(buf []byte, s string) []byte {
 }
 
 // AppendWithOffsets is AppendText that also appends, for every byte it
-// appends to buf, the byte offset in s of the originating rune to offsets
-// — the capacity-reusing form of Normalize.
+// appends to buf, the byte offset in s of the originating rune to offsets.
+// Offsets are int32 to keep the map compact on the fingerprinting hot
+// path; segments are paragraphs and pages, far below 2 GiB.
 func AppendWithOffsets(buf []byte, offsets []int32, s string) ([]byte, []int32) {
 	return appendNormalized(buf, offsets, s, true)
 }
@@ -100,15 +78,9 @@ func appendNormalized(buf []byte, offsets []int32, s string, record bool) ([]byt
 }
 
 // OrigRange maps a half-open byte range [start, end) of the normalised text
-// to the corresponding half-open byte range in the original text, covering
-// every originating rune. It returns (0, 0) for an empty or out-of-bounds
-// range.
-func (r Result) OrigRange(start, end int) (int, int) {
-	return OrigRange(r.Orig, r.Offsets, start, end)
-}
-
-// OrigRange is Result.OrigRange over an offsets map recorded by
-// AppendWithOffsets from orig.
+// to the corresponding half-open byte range in orig, covering every
+// originating rune; offsets is the map AppendWithOffsets recorded from
+// orig. It returns (0, 0) for an empty or out-of-bounds range.
 func OrigRange(orig string, offsets []int32, start, end int) (int, int) {
 	if start < 0 || end > len(offsets) || start >= end {
 		return 0, 0
@@ -119,10 +91,4 @@ func OrigRange(orig string, offsets []int32, start, end int) (int, int) {
 		size = 1
 	}
 	return int(offsets[start]), last + size
-}
-
-// Equivalent reports whether two strings normalise to the same text, i.e.
-// they differ only in case, whitespace and punctuation.
-func Equivalent(a, b string) bool {
-	return Normalize(a).Text == Normalize(b).Text
 }

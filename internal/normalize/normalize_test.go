@@ -8,10 +8,18 @@ import (
 	"unicode/utf8"
 )
 
+// text normalises s through AppendText.
+func text(s string) string { return string(AppendText(nil, s)) }
+
+// withOffsets normalises s through AppendWithOffsets.
+func withOffsets(s string) (string, []int32) {
+	buf, offsets := AppendWithOffsets(nil, nil, s)
+	return string(buf), offsets
+}
+
 func TestNormalizePaperExample(t *testing.T) {
-	got := Normalize("Hello World!")
-	if got.Text != "helloworld" {
-		t.Errorf("Text=%q, want %q", got.Text, "helloworld")
+	if got := text("Hello World!"); got != "helloworld" {
+		t.Errorf("Text=%q, want %q", got, "helloworld")
 	}
 }
 
@@ -31,8 +39,11 @@ func TestNormalizeTable(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Normalize(tt.give); got.Text != tt.want {
-				t.Errorf("Normalize(%q).Text=%q, want %q", tt.give, got.Text, tt.want)
+			if got := text(tt.give); got != tt.want {
+				t.Errorf("AppendText(%q)=%q, want %q", tt.give, got, tt.want)
+			}
+			if got, offsets := withOffsets(tt.give); got != tt.want || len(offsets) != len(got) {
+				t.Errorf("AppendWithOffsets(%q)=%q with %d offsets, want %q", tt.give, got, len(offsets), tt.want)
 			}
 		})
 	}
@@ -40,33 +51,33 @@ func TestNormalizeTable(t *testing.T) {
 
 func TestOffsetsPointAtOriginRunes(t *testing.T) {
 	orig := "He said: «Bonjour, Monde»!"
-	r := Normalize(orig)
-	if len(r.Offsets) != len(r.Text) {
-		t.Fatalf("len(Offsets)=%d, want %d", len(r.Offsets), len(r.Text))
+	norm, offsets := withOffsets(orig)
+	if len(offsets) != len(norm) {
+		t.Fatalf("len(Offsets)=%d, want %d", len(offsets), len(norm))
 	}
 	// Every offset must point at a letter or digit in the original.
-	for i, off := range r.Offsets {
+	for i, off := range offsets {
 		c := []rune(orig[off:])[0]
 		if !unicode.IsLetter(c) && !unicode.IsDigit(c) {
 			t.Errorf("Offsets[%d]=%d points at %q, not a letter/digit", i, off, c)
 		}
 	}
 	// Offsets must be non-decreasing.
-	for i := 1; i < len(r.Offsets); i++ {
-		if r.Offsets[i] < r.Offsets[i-1] {
-			t.Errorf("Offsets not monotone at %d: %d < %d", i, r.Offsets[i], r.Offsets[i-1])
+	for i := 1; i < len(offsets); i++ {
+		if offsets[i] < offsets[i-1] {
+			t.Errorf("Offsets not monotone at %d: %d < %d", i, offsets[i], offsets[i-1])
 		}
 	}
 }
 
 func TestOrigRange(t *testing.T) {
 	orig := "Hello, World!"
-	r := Normalize(orig) // "helloworld"
-	start, end := r.OrigRange(5, 10)
+	_, offsets := withOffsets(orig) // "helloworld"
+	start, end := OrigRange(orig, offsets, 5, 10)
 	if got := orig[start:end]; got != "World" {
 		t.Errorf("OrigRange(5,10) -> %q, want %q", got, "World")
 	}
-	start, end = r.OrigRange(0, 5)
+	start, end = OrigRange(orig, offsets, 0, 5)
 	if got := orig[start:end]; got != "Hello" {
 		t.Errorf("OrigRange(0,5) -> %q, want %q", got, "Hello")
 	}
@@ -74,8 +85,8 @@ func TestOrigRange(t *testing.T) {
 
 func TestOrigRangeMultibyte(t *testing.T) {
 	orig := "père Noël"
-	r := Normalize(orig) // "pèrenoël"
-	start, end := r.OrigRange(0, len(r.Text))
+	norm, offsets := withOffsets(orig) // "pèrenoël"
+	start, end := OrigRange(orig, offsets, 0, len(norm))
 	if start != 0 {
 		t.Errorf("start=%d, want 0", start)
 	}
@@ -85,16 +96,18 @@ func TestOrigRangeMultibyte(t *testing.T) {
 }
 
 func TestOrigRangeInvalid(t *testing.T) {
-	r := Normalize("abc")
+	_, offsets := withOffsets("abc")
 	for _, tt := range []struct{ start, end int }{
 		{-1, 2}, {0, 4}, {2, 2}, {3, 1},
 	} {
-		if s, e := r.OrigRange(tt.start, tt.end); s != 0 || e != 0 {
+		if s, e := OrigRange("abc", offsets, tt.start, tt.end); s != 0 || e != 0 {
 			t.Errorf("OrigRange(%d,%d)=(%d,%d), want (0,0)", tt.start, tt.end, s, e)
 		}
 	}
 }
 
+// TestEquivalent: strings that differ only in case, whitespace and
+// punctuation normalise to the same text.
 func TestEquivalent(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -106,7 +119,7 @@ func TestEquivalent(t *testing.T) {
 		{"", "  ...  ", true},
 	}
 	for _, tt := range tests {
-		if got := Equivalent(tt.a, tt.b); got != tt.want {
+		if got := text(tt.a) == text(tt.b); got != tt.want {
 			t.Errorf("Equivalent(%q,%q)=%v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
@@ -134,8 +147,8 @@ func TestASCIIFoldMatchesUnicode(t *testing.T) {
 // a no-op.
 func TestQuickIdempotent(t *testing.T) {
 	f := func(s string) bool {
-		once := Normalize(s).Text
-		twice := Normalize(once).Text
+		once := text(s)
+		twice := text(once)
 		return once == twice
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -149,7 +162,7 @@ func TestQuickCaseWhitespaceInvariant(t *testing.T) {
 	f := func(s string) bool {
 		perturbed := strings.ToUpper(strings.ReplaceAll(s, "a", " a "))
 		base := strings.ToUpper(s)
-		return Normalize(perturbed).Text == Normalize(base).Text
+		return text(perturbed) == text(base)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -160,7 +173,9 @@ func BenchmarkNormalize(b *testing.B) {
 	s := strings.Repeat("The Quick Brown Fox, jumps over the lazy dog! ", 100)
 	b.SetBytes(int64(len(s)))
 	b.ResetTimer()
+	buf, offsets := AppendWithOffsets(nil, nil, s)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Normalize(s)
+		buf, offsets = AppendWithOffsets(buf[:0], offsets[:0], s)
 	}
 }

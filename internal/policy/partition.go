@@ -115,7 +115,7 @@ func (e *Engine) ObservePart(ctx context.Context, seg segment.ID, service string
 	}
 	clock = e.stampClock(g, clock)
 	e.tracker.SetClockFloor(g, clock)
-	if _, err := e.registry.ObserveSegment(seg, service); err != nil {
+	if err := e.registry.Observe(seg, service); err != nil {
 		return Verdict{}, PartResolve{}, false, err
 	}
 	e.registry.RefreshImplicit(seg, report.SourceSegs())
@@ -272,7 +272,7 @@ func (e *Engine) ObserveResolvedFPCtx(ctx context.Context, seg segment.ID, servi
 	}
 	clock = e.stampClock(g, clock)
 	e.tracker.SetClockFloor(g, clock)
-	if _, err := e.registry.ObserveSegment(seg, service); err != nil {
+	if err := e.registry.Observe(seg, service); err != nil {
 		return Verdict{}, err
 	}
 	e.applyShadowTags(tags)

@@ -67,7 +67,7 @@ func simulateFlows(t *testing.T, c *Compiled, rng *rand.Rand, steps int) bool {
 	author := func(svc string) segment.ID {
 		seg := segment.ID(fmt.Sprintf("seg-%d", next))
 		next++
-		if _, err := reg.ObserveSegment(seg, svc); err != nil {
+		if err := reg.Observe(seg, svc); err != nil {
 			t.Fatal(err)
 		}
 		segs = append(segs, seg)

@@ -109,8 +109,7 @@ func (a *Applier) apply(rec wal.Record) error {
 			return err
 		}
 		if !a.accepts(op.Seg) {
-			_, err := a.registry.ObserveSegment(op.Seg, op.Service)
-			return err
+			return a.registry.Observe(op.Seg, op.Service)
 		}
 		sp := a.applySpan(op.Trace, "observe")
 		fp := fingerprint.FromHashes(op.Hashes)
@@ -134,7 +133,7 @@ func (a *Applier) apply(rec wal.Record) error {
 					kept = append(kept, item)
 					continue
 				}
-				if _, err := a.registry.ObserveSegment(item.Seg, svc); err != nil {
+				if err := a.registry.Observe(item.Seg, svc); err != nil {
 					return err
 				}
 			}
@@ -159,7 +158,7 @@ func (a *Applier) apply(rec wal.Record) error {
 			// Registry state stays global on a filtered replica: record
 			// the stored-by mark and mirror the shadow tags so label
 			// lookups behave like the source's.
-			if _, err := a.registry.ObserveSegment(op.Seg, op.Service); err != nil {
+			if err := a.registry.Observe(op.Seg, op.Service); err != nil {
 				return err
 			}
 			for seg, names := range op.Tags {

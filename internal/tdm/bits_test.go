@@ -131,9 +131,9 @@ func TestFastCheckMatchesSemilattice(t *testing.T) {
 
 	type regOp func(r *Registry) error
 	ops := []regOp{
-		func(r *Registry) error { _, err := r.ObserveSegment("s1", "wiki"); return err },
-		func(r *Registry) error { _, err := r.ObserveSegment("s2", "itool"); return err },
-		func(r *Registry) error { _, err := r.ObserveSegment("s3", "docs"); return err },
+		func(r *Registry) error { return r.Observe("s1", "wiki") },
+		func(r *Registry) error { return r.Observe("s2", "itool") },
+		func(r *Registry) error { return r.Observe("s3", "docs") },
 		func(r *Registry) error { r.RefreshImplicit("s3", []segment.ID{"s1", "s2"}); return nil },
 		func(r *Registry) error { return r.AllocateTag("alice", "custom.alice.x") },
 		func(r *Registry) error { return r.AddTagToSegment("alice", "s1", "custom.alice.x") },
@@ -176,13 +176,13 @@ func TestFastCheckMatchesSemilattice(t *testing.T) {
 // TestFastCheckSurvivesImport rebuilds the fast state on snapshot import.
 func TestFastCheckSurvivesImport(t *testing.T) {
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
+	if err := r.Observe("s1", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	snap := r.Export()
 
 	r2 := newFastRegistry(t)
-	if _, err := r2.ObserveSegment("junk", "itool"); err != nil {
+	if err := r2.Observe("junk", "itool"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r2.Import(snap); err != nil {
@@ -206,7 +206,7 @@ func TestFastCheckSurvivesImport(t *testing.T) {
 // the next CheckRelease answers from the semilattice, never a stale row.
 func TestLabelMutationOutsideRegistryFallsBack(t *testing.T) {
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
+	if err := r.Observe("s1", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	// Reach past the registry API, as in-package callers holding the live
@@ -240,7 +240,7 @@ func TestCheckReleaseAllocFree(t *testing.T) {
 		t.Skip("allocation behaviour differs under -race")
 	}
 	r := newFastRegistry(t)
-	if _, err := r.ObserveSegment("s1", "wiki"); err != nil {
+	if err := r.Observe("s1", "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

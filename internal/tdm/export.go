@@ -50,17 +50,16 @@ func (r *Registry) Export() ExportData {
 	}
 	sort.Slice(data.Services, func(i, j int) bool { return data.Services[i].Name < data.Services[j].Name })
 
-	for seg, label := range r.labels {
+	for seg, st := range r.labels {
 		rec := LabelRecord{
 			Seg:        seg,
-			Explicit:   label.explicit.Sorted(),
-			Implicit:   label.implicit.Sorted(),
-			Suppressed: label.suppressed.Sorted(),
+			Explicit:   st.explicit.Sorted(),
+			Implicit:   st.implicit.Sorted(),
+			Suppressed: st.suppressed.Sorted(),
 		}
-		for svc := range r.stored[seg] {
-			rec.StoredBy = append(rec.StoredBy, svc)
+		if len(st.stored) > 0 {
+			rec.StoredBy = append([]string(nil), st.stored...)
 		}
-		sort.Strings(rec.StoredBy)
 		data.Labels = append(data.Labels, rec)
 	}
 	sort.Slice(data.Labels, func(i, j int) bool { return data.Labels[i].Seg < data.Labels[j].Seg })
@@ -77,27 +76,22 @@ func (r *Registry) Export() ExportData {
 func (r *Registry) Import(data ExportData) error {
 	services := make(map[string]*Service, len(data.Services))
 	for _, rec := range data.Services {
-		services[rec.Name] = &Service{
-			Name:            rec.Name,
-			Privilege:       NewTagSet(rec.Privilege...),
-			Confidentiality: NewTagSet(rec.Confidentiality...),
-		}
+		services[rec.Name] = newService(rec.Name, NewTagSet(rec.Privilege...), NewTagSet(rec.Confidentiality...))
 	}
-	labels := make(map[segment.ID]*Label, len(data.Labels))
-	stored := make(map[segment.ID]map[string]bool, len(data.Labels))
+	labels := make(map[segment.ID]*segState, len(data.Labels))
 	for _, rec := range data.Labels {
-		label := NewLabel(rec.Explicit...)
-		label.SetImplicit(NewTagSet(rec.Implicit...))
-		for _, t := range rec.Suppressed {
-			label.suppressed.Add(t)
-		}
-		labels[rec.Seg] = label
-		if len(rec.StoredBy) > 0 {
-			stored[rec.Seg] = make(map[string]bool, len(rec.StoredBy))
-			for _, svc := range rec.StoredBy {
-				stored[rec.Seg][svc] = true
+		st := &segState{stored: storedList(services, rec.StoredBy)}
+		st.explicit = tagSetOf(rec.Explicit)
+		st.implicit = tagSetOf(rec.Implicit)
+		st.suppressed = tagSetOf(rec.Suppressed)
+		// A label still carrying its only storing service's default tags
+		// shares that service's Lc, as Observe's labels do.
+		if len(st.stored) == 1 {
+			if svc, ok := services[st.stored[0]]; ok && st.explicit.equal(svc.Confidentiality) {
+				st.shareExplicit(svc.Confidentiality)
 			}
 		}
+		labels[rec.Seg] = st
 	}
 	tagOwners := make(map[Tag]string, len(data.Tags))
 	for _, rec := range data.Tags {
@@ -108,7 +102,6 @@ func (r *Registry) Import(data ExportData) error {
 	defer r.mu.Unlock()
 	r.services = services
 	r.labels = labels
-	r.stored = stored
 	r.tagOwners = tagOwners
 	// The compiled fast path, if installed, is derived state: rebuild the
 	// privilege rows and effective bitsets for the imported world. The row
@@ -119,9 +112,32 @@ func (r *Registry) Import(data ExportData) error {
 		for _, svc := range r.services {
 			r.fastService(svc)
 		}
-		for _, label := range r.labels {
-			r.fastRefresh(label)
+		for _, st := range r.labels {
+			r.fastRefresh(&st.Label)
 		}
 	}
 	return nil
+}
+
+// storedList returns names as a sorted, duplicate-free stored-by list. A
+// single registered service yields that service's own one-element list.
+func storedList(services map[string]*Service, names []string) []string {
+	if len(names) == 1 {
+		if svc, ok := services[names[0]]; ok {
+			return svc.only
+		}
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	out := append([]string(nil), names...)
+	sort.Strings(out)
+	n := 1
+	for _, name := range out[1:] {
+		if name != out[n-1] {
+			out[n] = name
+			n++
+		}
+	}
+	return out[:n]
 }

@@ -9,7 +9,7 @@ import (
 func TestRegistryExportImportRoundTrip(t *testing.T) {
 	r := paperRegistry(t)
 	seg := segment.ID("itool/eval#p0")
-	if _, err := r.ObserveSegment(seg, "itool"); err != nil {
+	if err := r.Observe(seg, "itool"); err != nil {
 		t.Fatal(err)
 	}
 	r.RefreshImplicit(seg, nil)
@@ -55,10 +55,10 @@ func TestRegistryExportImportRoundTrip(t *testing.T) {
 
 func TestRegistryExportDeterministic(t *testing.T) {
 	r := paperRegistry(t)
-	if _, err := r.ObserveSegment("wiki/a#p0", "wiki"); err != nil {
+	if err := r.Observe("wiki/a#p0", "wiki"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveSegment("itool/b#p0", "itool"); err != nil {
+	if err := r.Observe("itool/b#p0", "itool"); err != nil {
 		t.Fatal(err)
 	}
 	x, y := r.Export(), r.Export()

@@ -53,8 +53,8 @@ func (r *Registry) InstallCheckTable(table *CheckTable) error {
 	for _, svc := range r.services {
 		r.fastService(svc)
 	}
-	for _, label := range r.labels {
-		r.fastRefresh(label)
+	for _, st := range r.labels {
+		r.fastRefresh(&st.Label)
 	}
 	return nil
 }

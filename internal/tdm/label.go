@@ -10,6 +10,10 @@ package tdm
 //     as *not* the authoritative source and do not propagate further;
 //   - suppressed tags: tags a user has declassified for this segment. They
 //     are ignored in subset comparisons but remain attached for audit.
+//
+// A set is nil until it holds a tag, so a label costs no map for a set it
+// does not use. A default-assigned explicit set is its service's Lc,
+// shared until the label's first explicit-tag mutation copies it.
 type Label struct {
 	explicit   TagSet
 	implicit   TagSet
@@ -23,14 +27,29 @@ type Label struct {
 	// semilattice when effValid is false.
 	eff      Bits
 	effValid bool
+
+	// explicitShared marks explicit as borrowed from a service's Lc.
+	explicitShared bool
 }
 
 // NewLabel returns a Label with the given explicit tags.
 func NewLabel(explicit ...Tag) *Label {
-	return &Label{
-		explicit:   NewTagSet(explicit...),
-		implicit:   NewTagSet(),
-		suppressed: NewTagSet(),
+	return &Label{explicit: tagSetOf(explicit)}
+}
+
+// shareExplicit makes the immutable set lc the label's explicit tags
+// without copying it.
+func (l *Label) shareExplicit(lc TagSet) {
+	if len(lc) > 0 {
+		l.explicit, l.explicitShared = lc, true
+	}
+}
+
+// ownExplicit gives the label a private, non-nil explicit set before a
+// mutation.
+func (l *Label) ownExplicit() {
+	if l.explicit == nil || l.explicitShared {
+		l.explicit, l.explicitShared = l.explicit.Clone(), false
 	}
 }
 
@@ -45,15 +64,25 @@ func (l *Label) Suppressed() TagSet { return l.suppressed.Clone() }
 
 // AddExplicit adds a tag as explicit (default assignment or user custom
 // tag).
-func (l *Label) AddExplicit(t Tag) { l.explicit.Add(t); l.effValid = false }
+func (l *Label) AddExplicit(t Tag) {
+	l.ownExplicit()
+	l.explicit.Add(t)
+	l.effValid = false
+}
 
 // RemoveExplicit removes an explicit tag.
-func (l *Label) RemoveExplicit(t Tag) { l.explicit.Remove(t); l.effValid = false }
+func (l *Label) RemoveExplicit(t Tag) {
+	if l.explicit.Has(t) {
+		l.ownExplicit()
+		l.explicit.Remove(t)
+	}
+	l.effValid = false
+}
 
 // SetImplicit replaces the implicit tag set. BrowserFlow recomputes the
 // implicit tags of the segment being edited from its *current* disclosure
 // sources (§3.2), which is how outdated tags stop propagating (Figure 6).
-func (l *Label) SetImplicit(tags TagSet) { l.implicit = tags.Clone(); l.effValid = false }
+func (l *Label) SetImplicit(tags TagSet) { l.implicit = cloneNonEmpty(tags); l.effValid = false }
 
 // Suppress marks t as suppressed. It reports whether t was present in the
 // label (explicit or implicit); suppressing an absent tag is a no-op
@@ -61,6 +90,9 @@ func (l *Label) SetImplicit(tags TagSet) { l.implicit = tags.Clone(); l.effValid
 func (l *Label) Suppress(t Tag) bool {
 	if !l.explicit.Has(t) && !l.implicit.Has(t) {
 		return false
+	}
+	if l.suppressed == nil {
+		l.suppressed = make(TagSet, 1)
 	}
 	l.suppressed.Add(t)
 	l.effValid = false
@@ -85,10 +117,26 @@ func (l *Label) All() TagSet {
 // Clone returns an independent deep copy.
 func (l *Label) Clone() *Label {
 	return &Label{
-		explicit:   l.explicit.Clone(),
-		implicit:   l.implicit.Clone(),
-		suppressed: l.suppressed.Clone(),
+		explicit:   cloneNonEmpty(l.explicit),
+		implicit:   cloneNonEmpty(l.implicit),
+		suppressed: cloneNonEmpty(l.suppressed),
 	}
+}
+
+// tagSetOf returns the set of tags, or nil when there are none.
+func tagSetOf(tags []Tag) TagSet {
+	if len(tags) == 0 {
+		return nil
+	}
+	return NewTagSet(tags...)
+}
+
+// cloneNonEmpty copies s, or returns nil for an empty set.
+func cloneNonEmpty(s TagSet) TagSet {
+	if len(s) == 0 {
+		return nil
+	}
+	return s.Clone()
 }
 
 // ReleasableTo reports whether the label permits release to a service with

@@ -31,8 +31,42 @@ type Service struct {
 	// Privilege is Lp.
 	Privilege TagSet
 
-	// Confidentiality is Lc.
+	// Confidentiality is Lc. The registry never mutates it after
+	// registration, so default-assigned labels share it (see Label).
 	Confidentiality TagSet
+
+	// only is the one-element list [Name]: the stored-by list of every
+	// segment this service alone stores aliases it.
+	only []string
+}
+
+// newService builds a registry-owned service record.
+func newService(name string, lp, lc TagSet) *Service {
+	return &Service{Name: name, Privilege: lp, Confidentiality: lc, only: []string{name}}
+}
+
+// segState is the registry's record of one segment: its label and the
+// names of the services storing it, sorted. In practice one service stores
+// a segment, and that list aliases the service's own, so neither the
+// label's default tags nor its storage cost a per-segment allocation.
+type segState struct {
+	Label
+	stored []string
+}
+
+// addStored records that svc stores the segment.
+func (st *segState) addStored(svc *Service) {
+	i := sort.SearchStrings(st.stored, svc.Name)
+	switch {
+	case i < len(st.stored) && st.stored[i] == svc.Name:
+	case len(st.stored) == 0:
+		st.stored = svc.only
+	default:
+		out := make([]string, 0, len(st.stored)+1)
+		out = append(out, st.stored[:i]...)
+		out = append(out, svc.Name)
+		st.stored = append(out, st.stored[i:]...)
+	}
 }
 
 // Registry holds the enterprise-wide TDM state: services, segment labels,
@@ -42,9 +76,8 @@ type Registry struct {
 	mu sync.RWMutex
 
 	services  map[string]*Service
-	labels    map[segment.ID]*Label
+	labels    map[segment.ID]*segState
 	tagOwners map[Tag]string
-	stored    map[segment.ID]map[string]bool
 
 	// fast, when installed, is the compiled bitset check state (see
 	// fastcheck.go). nil keeps the original semilattice-only behaviour.
@@ -61,9 +94,8 @@ func NewRegistry(auditLog *audit.Log) *Registry {
 	}
 	return &Registry{
 		services:  make(map[string]*Service),
-		labels:    make(map[segment.ID]*Label),
+		labels:    make(map[segment.ID]*segState),
 		tagOwners: make(map[Tag]string),
-		stored:    make(map[segment.ID]map[string]bool),
 		auditLog:  auditLog,
 	}
 }
@@ -79,11 +111,7 @@ func (r *Registry) RegisterService(name string, lp, lc TagSet) error {
 	if _, ok := r.services[name]; ok {
 		return fmt.Errorf("%w: %s", ErrServiceExists, name)
 	}
-	svc := &Service{
-		Name:            name,
-		Privilege:       lp.Clone(),
-		Confidentiality: lc.Clone(),
-	}
+	svc := newService(name, lp.Clone(), lc.Clone())
 	r.services[name] = svc
 	r.fastService(svc)
 	return nil
@@ -120,32 +148,54 @@ func (r *Registry) Services() []Service {
 	return out
 }
 
-// ObserveSegment records that seg is stored by service and, if the segment
-// has no label yet, assigns it the service's confidentiality label Lc as
-// explicit tags (default tag assignment, §3.1). It returns a copy of the
-// segment's label.
+// Observe records that seg is stored by service and, if the segment has
+// no label yet, assigns it the service's confidentiality label Lc as
+// explicit tags (default tag assignment, §3.1). Re-observing a known
+// segment in a service already storing it allocates nothing; read the
+// label with Label.
+func (r *Registry) Observe(seg segment.ID, service string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, err := r.observeLocked(seg, service)
+	return err
+}
+
+// ObserveSegment is Observe returning a copy of the segment's label.
 func (r *Registry) ObserveSegment(seg segment.ID, service string) (*Label, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	st, err := r.observeLocked(seg, service)
+	if err != nil {
+		return nil, err
+	}
+	return st.Clone(), nil
+}
+
+func (r *Registry) observeLocked(seg segment.ID, service string) (*segState, error) {
 	svc, ok := r.services[service]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	if r.stored[seg] == nil {
-		r.stored[seg] = make(map[string]bool)
-	}
-	r.stored[seg][service] = true
-
-	label, ok := r.labels[seg]
+	st, ok := r.labels[seg]
 	if !ok {
-		label = NewLabel()
-		for t := range svc.Confidentiality {
-			label.AddExplicit(t)
-		}
-		r.labels[seg] = label
-		r.fastRefresh(label)
+		st = &segState{}
+		st.shareExplicit(svc.Confidentiality)
+		r.labels[seg] = st
+		r.fastRefresh(&st.Label)
 	}
-	return label.Clone(), nil
+	st.addStored(svc)
+	return st, nil
+}
+
+// state returns seg's record, creating an empty label if absent. Caller
+// holds the write lock.
+func (r *Registry) state(seg segment.ID) *segState {
+	st, ok := r.labels[seg]
+	if !ok {
+		st = &segState{}
+		r.labels[seg] = st
+	}
+	return st
 }
 
 // UpsertExplicit replaces seg's explicit tag set, creating the label if
@@ -159,22 +209,18 @@ func (r *Registry) ObserveSegment(seg segment.ID, service string) (*Label, error
 func (r *Registry) UpsertExplicit(seg segment.ID, tags []Tag) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
-	}
-	label.explicit = NewTagSet(tags...)
-	label.effValid = false
-	r.fastRefresh(label)
+	st := r.state(seg)
+	st.explicit, st.explicitShared = tagSetOf(tags), false
+	st.effValid = false
+	r.fastRefresh(&st.Label)
 }
 
 // Label returns a copy of seg's label, or nil if the segment is unknown.
 func (r *Registry) Label(seg segment.ID) *Label {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if label, ok := r.labels[seg]; ok {
-		return label.Clone()
+	if st, ok := r.labels[seg]; ok {
+		return st.Clone()
 	}
 	return nil
 }
@@ -187,20 +233,27 @@ func (r *Registry) Label(seg segment.ID) *Label {
 func (r *Registry) RefreshImplicit(seg segment.ID, sources []segment.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
-	}
-	implicit := NewTagSet()
+	st := r.state(seg)
+	var implicit TagSet
 	for _, src := range sources {
-		if srcLabel, ok := r.labels[src]; ok {
-			implicit = implicit.Union(srcLabel.Explicit())
+		srcState, ok := r.labels[src]
+		if !ok {
+			continue
+		}
+		for t := range srcState.explicit {
+			// The segment's own explicit tags need not be duplicated as
+			// implicit.
+			if !st.explicit.Has(t) {
+				if implicit == nil {
+					implicit = make(TagSet)
+				}
+				implicit[t] = struct{}{}
+			}
 		}
 	}
-	// The segment's own explicit tags need not be duplicated as implicit.
-	label.SetImplicit(implicit.Minus(label.Explicit()))
-	r.fastRefresh(label)
+	st.implicit = implicit
+	st.effValid = false
+	r.fastRefresh(&st.Label)
 }
 
 // CheckRelease evaluates the §3.1 release condition for seg towards
@@ -213,10 +266,11 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 	if !found {
 		return false, nil, fmt.Errorf("%w: %s", ErrServiceUnknown, service)
 	}
-	label, found := r.labels[seg]
+	st, found := r.labels[seg]
 	if !found {
 		return true, nil, nil
 	}
+	label := &st.Label
 	// Compiled fast path: a word-wise subset test over the interned-tag
 	// bitsets, allocation-free on the allow outcome. A violation falls
 	// through to the semilattice, which names the violating tags in the
@@ -237,16 +291,12 @@ func (r *Registry) CheckRelease(seg segment.ID, service string) (ok bool, violat
 // destination requires a fresh suppression.
 func (r *Registry) SuppressTag(user string, seg segment.ID, tag Tag, justification string) error {
 	r.mu.Lock()
-	label, ok := r.labels[seg]
-	if !ok {
+	st, ok := r.labels[seg]
+	if !ok || !st.Suppress(tag) {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
 	}
-	if !label.Suppress(tag) {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %s on %s", ErrTagNotOnSegment, tag, seg)
-	}
-	r.fastRefresh(label)
+	r.fastRefresh(&st.Label)
 	r.mu.Unlock()
 
 	r.auditLog.Append(audit.Entry{
@@ -301,14 +351,10 @@ func (r *Registry) AddTagToSegment(user string, seg segment.ID, tag Tag) error {
 	if owner != user {
 		return fmt.Errorf("%w: %s owned by %s", ErrNotTagOwner, tag, owner)
 	}
-	label, ok := r.labels[seg]
-	if !ok {
-		label = NewLabel()
-		r.labels[seg] = label
-	}
-	label.AddExplicit(tag)
-	r.fastRefresh(label)
-	for svcName := range r.stored[seg] {
+	st := r.state(seg)
+	st.AddExplicit(tag)
+	r.fastRefresh(&st.Label)
+	for _, svcName := range st.stored {
 		if svc, ok := r.services[svcName]; ok {
 			svc.Privilege.Add(tag)
 			r.fastService(svc)
@@ -373,10 +419,9 @@ func (r *Registry) mutatePrivilege(user, service string, tag Tag, add bool) erro
 func (r *Registry) StoredBy(seg segment.ID) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.stored[seg]))
-	for svc := range r.stored[seg] {
-		out = append(out, svc)
+	var stored []string
+	if st, ok := r.labels[seg]; ok {
+		stored = st.stored
 	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(stored)), stored...)
 }

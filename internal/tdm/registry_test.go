@@ -73,11 +73,10 @@ func TestServicesSorted(t *testing.T) {
 func TestFigure3DefaultAssignmentAndBlock(t *testing.T) {
 	r := paperRegistry(t)
 	seg := segment.ID("itool/eval#p0")
-	label, err := r.ObserveSegment(seg, "itool")
-	if err != nil {
+	if err := r.Observe(seg, "itool"); err != nil {
 		t.Fatal(err)
 	}
-	if !label.Explicit().Has("ti") {
+	if label := r.Label(seg); !label.Explicit().Has("ti") {
 		t.Errorf("default assignment failed: %v", label)
 	}
 	ok, violating, err := r.CheckRelease(seg, "wiki")
@@ -96,7 +95,7 @@ func TestFigure3DefaultAssignmentAndBlock(t *testing.T) {
 func TestFigure3PublicDataFlows(t *testing.T) {
 	r := paperRegistry(t)
 	seg := segment.ID("docs/shared#p0")
-	if _, err := r.ObserveSegment(seg, "docs"); err != nil {
+	if err := r.Observe(seg, "docs"); err != nil {
 		t.Fatal(err)
 	}
 	ok, violating, err := r.CheckRelease(seg, "wiki")
@@ -116,7 +115,7 @@ func TestFigure4Suppression(t *testing.T) {
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
 
 	seg := segment.ID("itool/eval#p0")
-	if _, err := r.ObserveSegment(seg, "itool"); err != nil {
+	if err := r.Observe(seg, "itool"); err != nil {
 		t.Fatal(err)
 	}
 	if ok, _, _ := r.CheckRelease(seg, "wiki"); ok {
@@ -145,7 +144,7 @@ func TestSuppressErrors(t *testing.T) {
 		t.Errorf("unknown segment: err=%v", err)
 	}
 	seg := segment.ID("wiki/a#p0")
-	if _, err := r.ObserveSegment(seg, "wiki"); err != nil {
+	if err := r.Observe(seg, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.SuppressTag("alice", seg, "ti", "x"); !errors.Is(err, ErrTagNotOnSegment) {
@@ -162,7 +161,7 @@ func TestFigure5CustomTags(t *testing.T) {
 	mustRegister(t, r, "wiki", NewTagSet("tw"), NewTagSet("tw"))
 
 	seg := segment.ID("wiki/secret#p0")
-	if _, err := r.ObserveSegment(seg, "wiki"); err != nil {
+	if err := r.Observe(seg, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	// Without tn, wiki text may flow to itool.
@@ -228,7 +227,7 @@ func TestCustomTagOwnership(t *testing.T) {
 		t.Errorf("unknown tag: err=%v", err)
 	}
 	seg := segment.ID("wiki/x#p0")
-	if _, err := r.ObserveSegment(seg, "wiki"); err != nil {
+	if err := r.Observe(seg, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AddTagToSegment("bob", seg, "tn"); !errors.Is(err, ErrNotTagOwner) {
@@ -248,10 +247,10 @@ func TestFigure6ImplicitTagsDoNotPropagate(t *testing.T) {
 	segA := segment.ID("itool/A#p0")
 	segB := segment.ID("wiki/B#p0")
 	segC := segment.ID("docs/C#p0")
-	if _, err := r.ObserveSegment(segA, "itool"); err != nil {
+	if err := r.Observe(segA, "itool"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveSegment(segB, "wiki"); err != nil {
+	if err := r.Observe(segB, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,7 +267,7 @@ func TestFigure6ImplicitTagsDoNotPropagate(t *testing.T) {
 
 	// Step 3: C discloses from B only. Implicit tags of B must not
 	// propagate: C gets implicit {tw}, not {ti, tw}.
-	if _, err := r.ObserveSegment(segC, "docs"); err != nil {
+	if err := r.Observe(segC, "docs"); err != nil {
 		t.Fatal(err)
 	}
 	r.RefreshImplicit(segC, []segment.ID{segB})
@@ -289,10 +288,10 @@ func TestRefreshImplicitReplacesOldSources(t *testing.T) {
 	r := paperRegistry(t)
 	segA := segment.ID("itool/A#p0")
 	segB := segment.ID("wiki/B#p0")
-	if _, err := r.ObserveSegment(segA, "itool"); err != nil {
+	if err := r.Observe(segA, "itool"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveSegment(segB, "wiki"); err != nil {
+	if err := r.Observe(segB, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	r.RefreshImplicit(segB, []segment.ID{segA})
@@ -310,10 +309,10 @@ func TestRefreshImplicitExcludesOwnExplicit(t *testing.T) {
 	r := paperRegistry(t)
 	segA := segment.ID("wiki/A#p0")
 	segB := segment.ID("wiki/B#p0")
-	if _, err := r.ObserveSegment(segA, "wiki"); err != nil {
+	if err := r.Observe(segA, "wiki"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveSegment(segB, "wiki"); err != nil {
+	if err := r.Observe(segB, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	r.RefreshImplicit(segB, []segment.ID{segA})
@@ -337,15 +336,14 @@ func TestCheckReleaseUnknownSegment(t *testing.T) {
 func TestObserveSegmentKeepsExistingLabel(t *testing.T) {
 	r := paperRegistry(t)
 	seg := segment.ID("itool/eval#p0")
-	if _, err := r.ObserveSegment(seg, "itool"); err != nil {
+	if err := r.Observe(seg, "itool"); err != nil {
 		t.Fatal(err)
 	}
 	// Re-observing in another service records storage but keeps the label.
-	label, err := r.ObserveSegment(seg, "wiki")
-	if err != nil {
+	if err := r.Observe(seg, "wiki"); err != nil {
 		t.Fatal(err)
 	}
-	if !label.Explicit().Has("ti") || label.Explicit().Has("tw") {
+	if label := r.Label(seg); !label.Explicit().Has("ti") || label.Explicit().Has("tw") {
 		t.Errorf("label changed on re-observe: %v", label)
 	}
 	stored := r.StoredBy(seg)
@@ -356,7 +354,7 @@ func TestObserveSegmentKeepsExistingLabel(t *testing.T) {
 
 func TestObserveSegmentUnknownService(t *testing.T) {
 	r := paperRegistry(t)
-	if _, err := r.ObserveSegment("x#p0", "ghost"); !errors.Is(err, ErrServiceUnknown) {
+	if err := r.Observe("x#p0", "ghost"); !errors.Is(err, ErrServiceUnknown) {
 		t.Errorf("err=%v, want ErrServiceUnknown", err)
 	}
 }

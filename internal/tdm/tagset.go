@@ -91,6 +91,11 @@ func (s TagSet) SubsetOf(o TagSet) bool {
 	return true
 }
 
+// equal reports whether s and o hold the same tags.
+func (s TagSet) equal(o TagSet) bool {
+	return len(s) == len(o) && s.SubsetOf(o)
+}
+
 // Sorted returns the tags in lexical order.
 func (s TagSet) Sorted() []Tag {
 	out := make([]Tag, 0, len(s))
